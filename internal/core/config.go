@@ -105,19 +105,21 @@ type Config struct {
 	// paper's slo.Default. The scenario matrix sweeps SLO classes through
 	// this hook.
 	SLO func(inputLen int) slo.Objective
-	// Probe observes lifecycle events for verification (see Probe); nil
-	// disables observation.
-	Probe Probe
-	// Telemetry, when non-nil, records request span events and sim-time
-	// metric samples into the given recorder (internal/telemetry). Like
-	// Probe, a nil recorder costs one branch per hook site and the
-	// controller never allocates on behalf of an absent recorder. Unlike
-	// Probe — which invariants.Attach replaces and fleet chaos chains —
-	// this field is never rewritten by the verification machinery, so
-	// telemetry and invariant probes coexist without perturbing each
-	// other. The recorder survives Controller.reset (config replacement
-	// carries the same pointer), which is how fleet crash/rebuild cycles
-	// keep one continuous per-shard timeline.
+	// Probe and Telemetry are the two sinks of the controller's one
+	// observation stream. Every lifecycle site makes a single emit call,
+	// which records the event into Telemetry first and then hands it to
+	// Probe, so a probe that fails a check finds the violating event
+	// already in the flight ring. Each nil sink costs one branch per event
+	// and the controller never allocates on behalf of an absent one.
+	//
+	// Probe is the verification witness (see Probe): invariants.Attach
+	// replaces it and fleet chaos runs chain their bookkeeping in front of
+	// it. Telemetry records span events and sim-time metric samples
+	// (internal/telemetry); the verification machinery never rewrites it,
+	// and it survives Controller.reset (config replacement carries the
+	// same pointer), which is how fleet crash/rebuild cycles keep one
+	// continuous per-shard timeline.
+	Probe     Probe
 	Telemetry *telemetry.Recorder
 	// MeasureOverhead samples host wall-clock time around every scheduling
 	// pick and shadow validation to feed the Figure 33 overhead study

@@ -16,6 +16,7 @@ import (
 	"slinfer/internal/perfmodel"
 	"slinfer/internal/sim"
 	"slinfer/internal/slo"
+	"slinfer/internal/telemetry"
 	"slinfer/internal/workload"
 )
 
@@ -146,15 +147,18 @@ func New(s *sim.Simulator, specs []hwsim.NodeSpec, models []model.Model, cfg Con
 	if cfg.PrefixCache.Enabled {
 		c.prefix = kvcache.NewTieredStore(cfg.PrefixCache)
 	}
-	c.wireTelemetry()
 	c.finishSetup(models)
 	return c
 }
 
 // finishSetup is the tail of construction shared by New and reset: the
-// iteration-scheduling pick, the hosted-model tables, and (under elastic
-// sharing) one wired executor per node.
+// prefix store's event adapter, the iteration-scheduling pick, the
+// hosted-model tables, and (under elastic sharing) one wired executor per
+// node.
 func (c *Controller) finishSetup(models []model.Model) {
+	if c.prefix != nil {
+		c.prefix.Trace = tierEvents{c}
+	}
 	// Iteration scheduling: min-headroom unless the FIFO ablation is on.
 	// Partitioned executors host one instance each, where headroom order
 	// degenerates to FIFO anyway.
@@ -251,7 +255,6 @@ func (c *Controller) reset(specs []hwsim.NodeSpec, models []model.Model, cfg Con
 	default:
 		c.prefix.Reset(cfg.PrefixCache)
 	}
-	c.wireTelemetry()
 	c.finishSetup(models)
 }
 
@@ -305,10 +308,17 @@ func (c *Controller) Run(tr workload.Trace) metrics.Report {
 	c.startArrivals(tr.Requests)
 	c.scheduleSampler(c.Cfg.MemSamplePeriod)
 	c.Sim.RunUntil(c.traceEnd.Add(c.Cfg.DrainGrace))
+	return c.finishRun(tr.Duration + c.Cfg.DrainGrace)
+}
+
+// finishRun is the report tail Run and EndStream share: stop the sampler,
+// finalize the collector, build the report over duration, and hand it to
+// the probe's RunFinished.
+func (c *Controller) finishRun(duration sim.Duration) metrics.Report {
 	c.stopSampler()
 	c.Collector.Finalize(c.Sim.Now())
 	c.Collector.ValidationCount = c.Validator.Validations
-	rep := c.Collector.BuildReport(c.Cfg.Name, tr.Duration+c.Cfg.DrainGrace)
+	rep := c.Collector.BuildReport(c.Cfg.Name, duration)
 	if p := c.Cfg.Probe; p != nil {
 		p.RunFinished(c, rep)
 	}
@@ -395,11 +405,15 @@ func (c *Controller) Submit(w workload.Request) {
 		req.PrefixXfer = xfer
 		c.Collector.RecordPrefixLookup(int64(hitTokens)*perTok,
 			int64(w.InputLen-hitTokens)*perTok)
-		c.telemPrefixLookup(req, hitTokens)
+		kind := telemetry.KindPrefixMiss
+		if hitTokens > 0 {
+			kind = telemetry.KindPrefixHit
+		}
+		c.emit(Event{Kind: kind, Req: req, A: int64(hitTokens), B: int64(w.InputLen)})
 	}
 	c.Collector.RecordArrival()
-	c.telemAdmit(req)
-	c.probeSubmitted(req)
+	c.emit(Event{Kind: telemetry.KindAdmit, Req: req,
+		A: int64(req.W.InputLen), B: int64(req.CachedPrefixTokens)})
 	if !c.tryPlace(req) {
 		c.enqueue(req)
 	}
@@ -539,7 +553,7 @@ func (c *Controller) shadowValidate(req *engine.Request, inst *engine.Instance) 
 		// validate against the graced deadline.
 		rv.Deadline = rv.Deadline.Add(c.specOf(inst).LoadTime(inst.Model))
 	}
-	return c.validateOnExecutor(ex, inst, rv, req.Obj.TPOT, c.prospectiveResizeBlock(req, inst))
+	return c.validateOn(ex, inst, nil, c.prospectiveResizeBlock(req, inst), rv, req.Obj.TPOT)
 }
 
 // prospectiveResizeBlock estimates how long the KV scale-up this admission
@@ -584,19 +598,20 @@ func (c *Controller) endViews(views []compute.InstView, rbuf []compute.ReqView) 
 	c.viewScratch, c.reqViewScratch = views[:0], rbuf[:0]
 }
 
-// validateOnExecutor runs shadow validation for adding a request view to
-// cand; candBlock additionally delays the candidate (prospective resize).
-func (c *Controller) validateOnExecutor(ex *cluster.Executor, cand *engine.Instance, rv compute.ReqView, tpot sim.Duration, candBlock sim.Duration) bool {
+// validateOn runs §VI-C shadow validation of adding rv to executor ex. The
+// candidate is either cand, an instance already on ex whose view is
+// additionally blocked for candBlock (a prospective resize), or — when prof
+// is non-nil — a fresh instance with that profile, blocked for candBlock
+// while it loads (a scale-out must pass the same validation as a scale-up).
+func (c *Controller) validateOn(ex *cluster.Executor, cand *engine.Instance, prof *perfmodel.Profile, candBlock sim.Duration, rv compute.ReqView, tpot sim.Duration) bool {
 	var start time.Time
 	if c.Cfg.MeasureOverhead {
 		start = time.Now() //slinfer:wallclock MeasureOverhead-gated validator profiling; feeds only Collector.ValidationNs, never event times
 	}
+	now := c.Sim.Now()
 	views, rbuf := c.beginViews(ex)
 	candIdx := -1
 	for _, other := range ex.Instances {
-		if other == cand {
-			candIdx = len(views)
-		}
 		var v compute.InstView
 		v, rbuf = compute.ViewInstanceInto(other, rbuf)
 		if other.ResizeInFlight {
@@ -609,57 +624,23 @@ func (c *Controller) validateOnExecutor(ex *cluster.Executor, cand *engine.Insta
 		if eta, ok := c.loadETA[other.ID]; ok && eta > v.BlockedUntil {
 			v.BlockedUntil = eta // cold start still in progress
 		}
-		if other == cand && candBlock > 0 {
-			if b := c.Sim.Now().Add(candBlock); b > v.BlockedUntil {
+		if other == cand {
+			candIdx = len(views)
+			if b := now.Add(candBlock); candBlock > 0 && b > v.BlockedUntil {
 				v.BlockedUntil = b
 			}
 		}
 		views = append(views, v)
 	}
-	busyUntil := c.Sim.Now()
+	if prof != nil {
+		candIdx = len(views)
+		views = append(views, compute.InstView{Profile: prof, BlockedUntil: now.Add(candBlock)})
+	}
+	busyUntil := now
 	if ex.Busy() {
 		busyUntil = ex.BusyUntil()
 	}
-	got := c.Validator.Validate(c.Sim.Now(), busyUntil, views, candIdx, rv, tpot)
-	c.endViews(views, rbuf)
-	if c.Cfg.MeasureOverhead {
-		c.Collector.ValidationNs += time.Since(start).Nanoseconds() //slinfer:wallclock diagnostic overhead counter only
-	}
-	return got == compute.OK
-}
-
-// validateNewInstanceOn checks that spawning a fresh instance for a request
-// on this executor would not break colocated SLOs (a scale-out must pass
-// the same §VI-C validation as a scale-up).
-func (c *Controller) validateNewInstanceOn(ex *cluster.Executor, prof *perfmodel.Profile, req *engine.Request, loadDur sim.Duration) bool {
-	rv := compute.ViewRequest(req)
-	rv.Deadline = rv.Deadline.Add(loadDur) // cold-start grace
-	var start time.Time
-	if c.Cfg.MeasureOverhead {
-		start = time.Now() //slinfer:wallclock MeasureOverhead-gated validator profiling; feeds only Collector.ValidationNs, never event times
-	}
-	views, rbuf := c.beginViews(ex)
-	for _, other := range ex.Instances {
-		var v compute.InstView
-		v, rbuf = compute.ViewInstanceInto(other, rbuf)
-		if other.ResizeInFlight {
-			v.BlockedUntil = other.ResizeDoneAt // remaining fraction only
-		}
-		if eta, ok := c.loadETA[other.ID]; ok && eta > v.BlockedUntil {
-			v.BlockedUntil = eta
-		}
-		views = append(views, v)
-	}
-	candIdx := len(views)
-	views = append(views, compute.InstView{
-		Profile:      prof,
-		BlockedUntil: c.Sim.Now().Add(loadDur),
-	})
-	busyUntil := c.Sim.Now()
-	if ex.Busy() {
-		busyUntil = ex.BusyUntil()
-	}
-	got := c.Validator.Validate(c.Sim.Now(), busyUntil, views, candIdx, rv, req.Obj.TPOT)
+	got := c.Validator.Validate(now, busyUntil, views, candIdx, rv, tpot)
 	c.endViews(views, rbuf)
 	if c.Cfg.MeasureOverhead {
 		c.Collector.ValidationNs += time.Since(start).Nanoseconds() //slinfer:wallclock diagnostic overhead counter only
@@ -675,7 +656,7 @@ func (c *Controller) place(req *engine.Request, inst *engine.Instance) {
 	}
 	c.removePending(req)
 	inst.Admit(req)
-	c.telemPlace(req, inst)
+	c.emit(Event{Kind: telemetry.KindPlace, Req: req, Inst: inst})
 	if inst.State == engine.Loading {
 		// Cold-start grace equal to the load duration (§IX-A).
 		req.Tracker.AddGrace(c.specOf(inst).LoadTime(inst.Model))
@@ -692,7 +673,7 @@ func (c *Controller) place(req *engine.Request, inst *engine.Instance) {
 // the TTFT SLO).
 func (c *Controller) enqueue(req *engine.Request) {
 	c.pending = append(c.pending, req)
-	c.telemEnqueue(req)
+	c.emit(Event{Kind: telemetry.KindEnqueue, Req: req})
 	deadline := req.Tracker.NextDeadline()
 	if deadline <= c.Sim.Now() {
 		c.drop(req)
@@ -710,8 +691,7 @@ func (c *Controller) drop(req *engine.Request) {
 	delete(c.dropEvents, req)
 	c.removePending(req)
 	c.Collector.RecordDrop()
-	c.telemDrop(req)
-	c.probeDropped(req)
+	c.emit(Event{Kind: telemetry.KindDrop, Req: req})
 }
 
 func (c *Controller) removePending(req *engine.Request) {

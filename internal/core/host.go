@@ -75,11 +75,13 @@ func (h hostView) MaxBatch() int { return h.c.Cfg.MaxBatch }
 func (h hostView) Validator() *compute.Validator { return h.c.Validator }
 
 func (h hostView) ValidateOn(ex *cluster.Executor, cand *engine.Instance, rv compute.ReqView, tpot sim.Duration, candBlock sim.Duration) bool {
-	return h.c.validateOnExecutor(ex, cand, rv, tpot, candBlock)
+	return h.c.validateOn(ex, cand, nil, candBlock, rv, tpot)
 }
 
 func (h hostView) ValidateScaleOut(ex *cluster.Executor, prof *perfmodel.Profile, req *engine.Request, loadDur sim.Duration) bool {
-	return h.c.validateNewInstanceOn(ex, prof, req, loadDur)
+	rv := compute.ViewRequest(req)
+	rv.Deadline = rv.Deadline.Add(loadDur) // cold-start grace
+	return h.c.validateOn(ex, nil, prof, loadDur, rv, req.Obj.TPOT)
 }
 
 func (h hostView) CreationBytes(m model.Model, n *cluster.Node, share float64, req *engine.Request) int64 {

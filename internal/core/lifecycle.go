@@ -12,6 +12,7 @@ import (
 	"slinfer/internal/memctl"
 	"slinfer/internal/model"
 	"slinfer/internal/sim"
+	"slinfer/internal/telemetry"
 )
 
 // ---- Executor wiring -------------------------------------------------------
@@ -52,8 +53,16 @@ func (c *Controller) wireExecutor(ex *cluster.Executor) {
 //
 //slinfer:hotpath
 func (c *Controller) onIterationDone(ex *cluster.Executor, w engine.Work, dur sim.Duration) {
-	now := c.Sim.Now()
 	inst := w.Inst
+	if inst.State == engine.Unloading {
+		// The iteration was in flight when the instance was torn down (a
+		// preemption victim mid-prefill): its requests have migrated and
+		// its cache is zeroed, so applying the iteration would misread the
+		// failed KV growth as §VII-D underestimation and issue a resize
+		// against the teardown's own unload.
+		return
+	}
+	now := c.Sim.Now()
 	kind := inst.Class.Kind()
 	switch w.Kind {
 	case engine.PrefillWork:
@@ -66,7 +75,7 @@ func (c *Controller) onIterationDone(ex *cluster.Executor, w engine.Work, dur si
 			return
 		}
 		c.Collector.DecodeTokens[kind]++ // the first output token
-		c.telemFirstToken(req, inst)
+		c.emit(Event{Kind: telemetry.KindFirstToken, Req: req, Inst: inst})
 		switch req.State {
 		case engine.Done:
 			c.completeRequest(req, inst)
@@ -81,7 +90,8 @@ func (c *Controller) onIterationDone(ex *cluster.Executor, w engine.Work, dur si
 			return
 		}
 		c.Collector.RecordDecode(kind, batch)
-		c.telemDecodeIter(inst, batch, dur)
+		c.emit(Event{Kind: telemetry.KindDecodeIter, Inst: inst,
+			A: int64(batch), B: int64(float64(dur) * 1e9)})
 		for _, req := range finished {
 			c.completeRequest(req, inst)
 		}
@@ -103,8 +113,7 @@ func (c *Controller) completeRequest(req *engine.Request, inst *engine.Instance)
 	}
 	ttft, haveTTFT := req.Tracker.TTFT()
 	c.Collector.RecordCompletion(req.Tracker.Met(), ttft, haveTTFT)
-	c.telemComplete(req, inst)
-	c.probeCompleted(req, inst)
+	c.emit(Event{Kind: telemetry.KindComplete, Req: req, Inst: inst, A: int64(req.Generated)})
 	c.recheckKV(inst)
 	if inst.Idle() && inst.State == engine.Active {
 		c.scheduleKeepAlive(inst)
@@ -295,7 +304,7 @@ func (c *Controller) migrate(req *engine.Request, from *engine.Instance) {
 	req.Inst = nil
 	req.Migrations++
 	c.Collector.Migrations++
-	c.telemPreempt(req, from)
+	c.emit(Event{Kind: telemetry.KindPreempt, Req: req, Inst: from, A: int64(req.Migrations)})
 	if !c.tryPlaceAvoiding(req, from) {
 		c.enqueue(req)
 	}
@@ -444,8 +453,7 @@ func (c *Controller) createInstance(m model.Model, nodes []*cluster.Node, share 
 	}
 	c.instances[m.Name] = append(c.instances[m.Name], inst)
 	c.Collector.ColdStarts++
-	c.telemInstanceUp(inst)
-	c.probeInstanceCreated(inst)
+	c.emit(Event{Kind: telemetry.KindInstanceUp, Inst: inst})
 	if dynamicKV && kvInit > 0 {
 		c.issueResize(inst, kvInit)
 	}
@@ -512,8 +520,7 @@ func (c *Controller) reclaim(inst *engine.Instance) {
 // countLifetime records instance lifetime stats (skipped for PD helpers).
 func (c *Controller) removeInstance(inst *engine.Instance, countLifetime bool) {
 	inst.State = engine.Unloading
-	c.telemInstanceDown(inst)
-	c.probeInstanceRemoved(inst)
+	c.emit(Event{Kind: telemetry.KindInstanceDown, Inst: inst})
 	c.cancelKeepAlive(inst)
 	if countLifetime {
 		c.Collector.InstanceLifetime += c.Sim.Now().Sub(inst.CreatedAt)
@@ -729,7 +736,7 @@ func (c *Controller) samplerTick() {
 			}
 		}
 	}
-	c.telemSample()
+	c.emitSample()
 	c.samplerEv = c.Sim.AfterFunc(c.samplerPeriod, c.fnSampler, nil)
 }
 

@@ -31,14 +31,7 @@ func (c *Controller) BeginStream(traceEnd sim.Time, expected int) {
 // Run).
 func (c *Controller) EndStream(duration sim.Duration) metrics.Report {
 	c.externalArrivals = false
-	c.stopSampler()
-	c.Collector.Finalize(c.Sim.Now())
-	c.Collector.ValidationCount = c.Validator.Validations
-	rep := c.Collector.BuildReport(c.Cfg.Name, duration)
-	if p := c.Cfg.Probe; p != nil {
-		p.RunFinished(c, rep)
-	}
-	return rep
+	return c.finishRun(duration)
 }
 
 // SetSlowdown applies a straggler multiplier to every node in the

@@ -3,8 +3,11 @@ package fleet
 import (
 	"testing"
 
+	"slinfer/internal/core"
 	"slinfer/internal/faults"
+	"slinfer/internal/metrics"
 	"slinfer/internal/sim"
+	"slinfer/internal/telemetry"
 )
 
 // chaosPlan builds a deterministic two-shard plan: shard 1 crashes a third
@@ -213,5 +216,81 @@ func TestRoutingPolicyReuseDeterministic(t *testing.T) {
 		if got := canonical(Run(cfg, tr)); got != first {
 			t.Fatalf("policy %s: reused policy value diverged from a fresh one", fresh.Name())
 		}
+	}
+}
+
+// bookkeepingWitness sits between a shard's probe and its invariant suite
+// and asserts, on every lifecycle event, that the shard's in-flight set
+// already reflects the event before the suite sees it.
+type bookkeepingWitness struct {
+	t    *testing.T
+	sd   *shard
+	next core.Probe
+	seen int
+}
+
+func (w *bookkeepingWitness) Observe(ev core.Event) {
+	switch ev.Kind {
+	case telemetry.KindAdmit, telemetry.KindComplete, telemetry.KindDrop:
+		w.seen++
+		_, tracked := w.sd.inflight[ev.Req.W.ID]
+		if tracked != (ev.Kind == telemetry.KindAdmit) {
+			w.t.Fatalf("%v of request %d reached the suite before the shard's in-flight set (tracked=%v)",
+				ev.Kind, ev.Req.W.ID, tracked)
+		}
+	}
+	w.next.Observe(ev)
+}
+
+func (w *bookkeepingWitness) RunFinished(c *core.Controller, rep metrics.Report) {
+	w.next.RunFinished(c, rep)
+}
+
+// TestCrashRebuildKeepsBookkeepingAheadOfSuite crashes a shard mid-stream
+// and recovers it: the rebuilt controller's probe must again be the shard's
+// bookkeeping chained in front of a fresh invariant suite, so the in-flight
+// set is current whenever the suite checks.
+func TestCrashRebuildKeepsBookkeepingAheadOfSuite(t *testing.T) {
+	tr := testTrace(t, testModels(8), 3, 41)
+	sd := newShard(testConfig(1, 1), 0, true)
+	defer sd.arena.Release()
+	sd.idxByID = map[int64]int{}
+	for i, r := range tr.Requests {
+		sd.idxByID[r.ID] = i
+	}
+	traceEnd := sim.Time(0).Add(tr.Duration)
+	mid := sim.Time(0).Add(tr.Duration / 2)
+	sd.ctl.BeginStream(traceEnd, len(tr.Requests))
+	next := 0
+	for ; next < len(tr.Requests) && tr.Requests[next].Arrival < mid; next++ {
+		sd.enqueue(tr.Requests[next])
+	}
+	sd.sim.RunUntil(mid)
+	ck := newChecker()
+	pulled := sd.crash(mid, ck)
+	if len(pulled) == 0 {
+		t.Fatal("crash pulled no in-flight requests (trace too sparse)")
+	}
+	sd.recover(mid, traceEnd, len(tr.Requests))
+	sp, ok := sd.ctl.Cfg.Probe.(*shardProbe)
+	if !ok || sd.suite == nil || sp.next != core.Probe(sd.suite) {
+		t.Fatalf("rebuilt controller's probe is %T, want shard bookkeeping chained before the new suite", sd.ctl.Cfg.Probe)
+	}
+	w := &bookkeepingWitness{t: t, sd: sd, next: sp.next}
+	sp.next = w
+	for _, rec := range pulled {
+		rec.req.Arrival = mid
+		sd.enqueue(rec.req)
+	}
+	for ; next < len(tr.Requests); next++ {
+		sd.enqueue(tr.Requests[next])
+	}
+	sd.sim.RunUntil(traceEnd.Add(sd.ctl.Cfg.DrainGrace))
+	sd.ctl.EndStream(traceEnd.Sub(mid) + sd.ctl.Cfg.DrainGrace)
+	if w.seen == 0 {
+		t.Fatal("no lifecycle events after the rebuild")
+	}
+	if len(ck.violations) > 0 || !sd.suite.Ok() {
+		t.Fatalf("violations: fleet %v, suite %v", ck.violations, sd.suite.Violations())
 	}
 }

@@ -14,10 +14,10 @@ import (
 	"sort"
 
 	"slinfer/internal/core"
-	"slinfer/internal/engine"
 	"slinfer/internal/faults"
 	"slinfer/internal/metrics"
 	"slinfer/internal/sim"
+	"slinfer/internal/telemetry"
 	"slinfer/internal/workload"
 )
 
@@ -191,50 +191,32 @@ type retryEntry struct {
 // shardProbe is the fleet's per-shard lifecycle witness on chaos runs: it
 // maintains the shard's in-flight set (what a crash pulls and re-drives)
 // and the per-epoch completion count behind the goodput-dip metric, then
-// delegates to the shard's invariant suite (or whatever probe the
-// configuration installed). Only installed when the fault plan is
+// forwards every event to the shard's invariant suite (or whatever probe
+// the configuration installed), so the fleet's bookkeeping is current
+// before the suite checks. Only installed when the fault plan is
 // non-empty, so fault-free runs pay nothing.
 type shardProbe struct {
 	sd   *shard
 	next core.Probe
 }
 
-func (p *shardProbe) RequestSubmitted(req *engine.Request) {
-	id := req.W.ID
-	idx, ok := p.sd.idxByID[id]
-	if !ok {
-		idx = -1
+func (p *shardProbe) Observe(ev core.Event) {
+	switch ev.Kind {
+	case telemetry.KindAdmit:
+		id := ev.Req.W.ID
+		idx, ok := p.sd.idxByID[id]
+		if !ok {
+			idx = -1
+		}
+		p.sd.inflight[id] = inflightRec{idx: idx, req: ev.Req.W}
+	case telemetry.KindComplete:
+		delete(p.sd.inflight, ev.Req.W.ID)
+		p.sd.completedEpoch++
+	case telemetry.KindDrop:
+		delete(p.sd.inflight, ev.Req.W.ID)
 	}
-	p.sd.inflight[id] = inflightRec{idx: idx, req: req.W}
 	if p.next != nil {
-		p.next.RequestSubmitted(req)
-	}
-}
-
-func (p *shardProbe) RequestCompleted(req *engine.Request, inst *engine.Instance) {
-	delete(p.sd.inflight, req.W.ID)
-	p.sd.completedEpoch++
-	if p.next != nil {
-		p.next.RequestCompleted(req, inst)
-	}
-}
-
-func (p *shardProbe) RequestDropped(req *engine.Request) {
-	delete(p.sd.inflight, req.W.ID)
-	if p.next != nil {
-		p.next.RequestDropped(req)
-	}
-}
-
-func (p *shardProbe) InstanceCreated(inst *engine.Instance) {
-	if p.next != nil {
-		p.next.InstanceCreated(inst)
-	}
-}
-
-func (p *shardProbe) InstanceRemoved(inst *engine.Instance) {
-	if p.next != nil {
-		p.next.InstanceRemoved(inst)
+		p.next.Observe(ev)
 	}
 }
 

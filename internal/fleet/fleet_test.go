@@ -360,3 +360,38 @@ func TestRejectionLedgerOrder(t *testing.T) {
 		}
 	}
 }
+
+// TestKVAffinityChatFleetConserves is the regression for stale iteration
+// completions on torn-down preemption victims: KV-affinity routing
+// saturates this chat fleet's shards, preemption tears victims down with
+// prefills in flight, and the late completions used to admit a KV resize
+// against the victim's teardown (three ledger-conservation violations on
+// one shard at seed 17).
+func TestKVAffinityChatFleetConserves(t *testing.T) {
+	models := testModels(32)
+	names := make([]string, len(models))
+	for i, m := range models {
+		names[i] = m.Name
+	}
+	tr := workload.GenerateChat(workload.ChatConfig{
+		ModelNames: names, Duration: 30 * sim.Minute,
+		Sessions: 1500, TurnsMean: 8, Dataset: workload.AzureConv, Seed: 17,
+	})
+	sys := core.SLINFER()
+	sys.PrefixCache = kvcache.TieredConfig{Enabled: true}
+	res := Run(Config{
+		System: sys, Shards: UniformShards(64, 2, 2), Models: models,
+		Routing: &KVAffinity{}, Seed: 17, AttachInvariants: true, Workers: 2,
+	}, tr)
+	for _, v := range res.Violations {
+		t.Errorf("fleet: %v", v)
+	}
+	for i, vs := range res.ShardViolations {
+		for _, v := range vs {
+			t.Errorf("shard %d: %v", i, v)
+		}
+	}
+	if res.Report.Preemptions == 0 {
+		t.Fatal("no preemptions: the fleet no longer reaches the victim teardown path")
+	}
+}

@@ -45,6 +45,7 @@ import (
 	"slinfer/internal/memctl"
 	"slinfer/internal/metrics"
 	"slinfer/internal/sim"
+	"slinfer/internal/telemetry"
 )
 
 // Violation is one detected invariant breach.
@@ -342,16 +343,10 @@ type cacheWatch struct {
 
 // WatchCache attaches a KV accounting checker to an instance's cache,
 // replacing any previous observer. Attach installs one per instance via
-// InstanceCreated.
+// its instance-up event.
 func (s *Suite) WatchCache(inst *engine.Instance) {
 	inst.Cache.Observer = &cacheWatch{suite: s, inst: inst}
 }
-
-// CacheChanged is the per-mutation hook; the current checks all live in
-// CacheOverRelease and the completion-time batch/cache identity
-// (checkInstanceKV), so this is the extension point for future
-// capacity-vs-usage properties, not an active checker.
-func (w *cacheWatch) CacheChanged(*kvcache.Cache) {}
 
 func (w *cacheWatch) CacheOverRelease(c *kvcache.Cache, released int64) {
 	w.suite.report("kv-accounting",
@@ -420,44 +415,79 @@ func (s *Suite) checkTierResidency() {
 
 // ---- Request lifecycle + SLO bookkeeping --------------------------------------
 
-// RequestSubmitted implements core.Probe.
-func (s *Suite) RequestSubmitted(req *engine.Request) {
-	id := req.W.ID
-	if s.live[id] || s.terminal[id] {
-		s.report("request-lifecycle", "request %d submitted twice", id)
-		return
-	}
-	s.live[id] = true
-	s.submitted++
-}
-
-// RequestCompleted implements core.Probe.
-func (s *Suite) RequestCompleted(req *engine.Request, inst *engine.Instance) {
-	id := req.W.ID
-	switch {
-	case s.terminal[id]:
-		s.report("request-lifecycle", "request %d reached a terminal state twice", id)
-		return
-	case !s.live[id]:
-		s.report("request-lifecycle", "request %d completed without being submitted", id)
-	}
-	delete(s.live, id)
-	s.terminal[id] = true
-	s.completed++
-
-	if req.State != engine.Done {
-		s.report("request-lifecycle", "request %d completed in state %v, want done", id, req.State)
-	}
-	if req.Generated != req.W.OutputLen {
-		s.report("request-lifecycle",
-			"request %d generated %d tokens, trace declares %d (tokens lost or conjured)",
-			id, req.Generated, req.W.OutputLen)
-	}
-	if _, have := req.Tracker.TTFT(); !have {
-		s.report("slo-bookkeeping", "request %d completed without a first token", id)
-	}
-	if inst != nil {
-		s.checkInstanceKV(inst)
+// Observe implements core.Probe: the suite checks five lifecycle kinds
+// (submission, completion, drop, instance creation and removal) and
+// ignores the rest of the stream.
+func (s *Suite) Observe(ev core.Event) {
+	req, inst := ev.Req, ev.Inst
+	switch ev.Kind {
+	case telemetry.KindAdmit:
+		id := req.W.ID
+		if s.live[id] || s.terminal[id] {
+			s.report("request-lifecycle", "request %d submitted twice", id)
+			return
+		}
+		s.live[id] = true
+		s.submitted++
+	case telemetry.KindComplete:
+		id := req.W.ID
+		switch {
+		case s.terminal[id]:
+			s.report("request-lifecycle", "request %d reached a terminal state twice", id)
+			return
+		case !s.live[id]:
+			s.report("request-lifecycle", "request %d completed without being submitted", id)
+		}
+		delete(s.live, id)
+		s.terminal[id] = true
+		s.completed++
+		if req.State != engine.Done {
+			s.report("request-lifecycle", "request %d completed in state %v, want done", id, req.State)
+		}
+		if req.Generated != req.W.OutputLen {
+			s.report("request-lifecycle",
+				"request %d generated %d tokens, trace declares %d (tokens lost or conjured)",
+				id, req.Generated, req.W.OutputLen)
+		}
+		if _, have := req.Tracker.TTFT(); !have {
+			s.report("slo-bookkeeping", "request %d completed without a first token", id)
+		}
+		if inst != nil {
+			s.checkInstanceKV(inst)
+		}
+	case telemetry.KindDrop:
+		id := req.W.ID
+		switch {
+		case s.terminal[id]:
+			s.report("request-lifecycle", "request %d reached a terminal state twice", id)
+			return
+		case !s.live[id]:
+			s.report("request-lifecycle", "request %d dropped without being submitted", id)
+		}
+		delete(s.live, id)
+		s.terminal[id] = true
+		s.droppedRq++
+		if req.State != engine.Dropped {
+			s.report("request-lifecycle", "request %d dropped in state %v", id, req.State)
+		}
+		if req.Tracker.Met() {
+			s.report("slo-bookkeeping", "request %d dropped yet marked SLO-met", id)
+		}
+	case telemetry.KindInstanceUp:
+		s.WatchCache(inst)
+	case telemetry.KindInstanceDown:
+		// Every removal path (keep-alive reclaim, preemption) drains or
+		// migrates requests out before the unload is issued, so a removed
+		// instance holding requests means they would be lost.
+		if !inst.Idle() {
+			s.report("request-lifecycle",
+				"inst%d unloading with %d requests still attached",
+				inst.ID, inst.TotalLoad())
+		}
+		if got := inst.Cache.UsedTokens(); got != 0 {
+			s.report("kv-accounting",
+				"inst%d unloading with %d live KV tokens", inst.ID, got)
+		}
 	}
 }
 
@@ -473,45 +503,6 @@ func (s *Suite) checkInstanceKV(inst *engine.Instance) {
 		s.report("kv-accounting",
 			"inst%d: cache holds %d tokens but running batch accounts %d",
 			inst.ID, got, want)
-	}
-}
-
-// RequestDropped implements core.Probe.
-func (s *Suite) RequestDropped(req *engine.Request) {
-	id := req.W.ID
-	switch {
-	case s.terminal[id]:
-		s.report("request-lifecycle", "request %d reached a terminal state twice", id)
-		return
-	case !s.live[id]:
-		s.report("request-lifecycle", "request %d dropped without being submitted", id)
-	}
-	delete(s.live, id)
-	s.terminal[id] = true
-	s.droppedRq++
-	if req.State != engine.Dropped {
-		s.report("request-lifecycle", "request %d dropped in state %v", id, req.State)
-	}
-	if req.Tracker.Met() {
-		s.report("slo-bookkeeping", "request %d dropped yet marked SLO-met", id)
-	}
-}
-
-// InstanceCreated implements core.Probe: new instances get a KV watcher.
-func (s *Suite) InstanceCreated(inst *engine.Instance) { s.WatchCache(inst) }
-
-// InstanceRemoved implements core.Probe. Every removal path (keep-alive
-// reclaim, preemption) drains or migrates requests out before the unload is
-// issued, so a removed instance holding requests means they would be lost.
-func (s *Suite) InstanceRemoved(inst *engine.Instance) {
-	if !inst.Idle() {
-		s.report("request-lifecycle",
-			"inst%d unloading with %d requests still attached",
-			inst.ID, inst.TotalLoad())
-	}
-	if got := inst.Cache.UsedTokens(); got != 0 {
-		s.report("kv-accounting",
-			"inst%d unloading with %d live KV tokens", inst.ID, got)
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"slinfer/internal/memctl"
 	"slinfer/internal/model"
 	"slinfer/internal/sim"
+	"slinfer/internal/telemetry"
 	"slinfer/internal/workload"
 )
 
@@ -241,20 +242,22 @@ func TestClockViolationCaught(t *testing.T) {
 func TestLifecycleDuplicationCaught(t *testing.T) {
 	suite := New(sim.New())
 	req := engine.NewRequest(workload.Request{ID: 42, ModelName: "m", InputLen: 10, OutputLen: 1})
-	suite.RequestSubmitted(req)
-	suite.RequestSubmitted(req)
+	submit := core.Event{Kind: telemetry.KindAdmit, Req: req}
+	suite.Observe(submit)
+	suite.Observe(submit)
 	if suite.Ok() {
 		t.Fatal("duplicate submission not caught")
 	}
 
 	suite2 := New(sim.New())
 	req2 := engine.NewRequest(workload.Request{ID: 43, ModelName: "m", InputLen: 10, OutputLen: 1})
-	suite2.RequestSubmitted(req2)
+	suite2.Observe(core.Event{Kind: telemetry.KindAdmit, Req: req2})
 	req2.State = engine.Done
 	req2.Generated = 1
 	req2.Tracker.RecordToken(0.1)
-	suite2.RequestCompleted(req2, nil)
-	suite2.RequestCompleted(req2, nil)
+	complete := core.Event{Kind: telemetry.KindComplete, Req: req2}
+	suite2.Observe(complete)
+	suite2.Observe(complete)
 	if suite2.Ok() {
 		t.Fatal("duplicate completion not caught")
 	}

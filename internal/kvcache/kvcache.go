@@ -152,15 +152,11 @@ func (w Watermark) Validate() error {
 	return nil
 }
 
-// CacheObserver watches one cache's accounting transitions. The invariant
-// suite uses it to flag over-releases (more tokens released than live —
-// accounting corruption that the clamp below would otherwise silently
-// absorb) and capacity/usage inversions. Nil costs one branch per
-// transition.
+// CacheObserver watches one cache's accounting. The invariant suite uses it
+// to flag over-releases (more tokens released than live — accounting
+// corruption that the clamp below would otherwise silently absorb). Nil
+// costs one branch per release.
 type CacheObserver interface {
-	// CacheChanged fires after any mutation (AddTokens, ReleaseTokens,
-	// SetCapacity) with the cache in its new state.
-	CacheChanged(c *Cache)
 	// CacheOverRelease fires when a release exceeds the live token count;
 	// the cache clamps at zero, but the excess marks an accounting bug.
 	CacheOverRelease(c *Cache, released int64)
@@ -178,7 +174,7 @@ type Cache struct {
 	capacityBytes  int64
 	usedTokens     int64
 
-	// Observer, if set, watches accounting transitions (see CacheObserver).
+	// Observer, if set, watches for over-releases (see CacheObserver).
 	Observer CacheObserver
 }
 
@@ -229,9 +225,6 @@ func (c *Cache) SetCapacity(bytes int64) {
 		bytes = 0
 	}
 	c.capacityBytes = bytes
-	if c.Observer != nil {
-		c.Observer.CacheChanged(c)
-	}
 }
 
 // AddTokens accounts tokens entering the cache (prefill admits InputLen at
@@ -246,9 +239,6 @@ func (c *Cache) AddTokens(n int64) bool {
 		return false
 	}
 	c.usedTokens += n
-	if c.Observer != nil {
-		c.Observer.CacheChanged(c)
-	}
 	return true
 }
 
@@ -260,9 +250,6 @@ func (c *Cache) ReleaseTokens(n int64) {
 	c.usedTokens -= n
 	if c.usedTokens < 0 {
 		c.usedTokens = 0
-	}
-	if c.Observer != nil {
-		c.Observer.CacheChanged(c)
 	}
 }
 

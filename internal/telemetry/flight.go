@@ -36,3 +36,16 @@ func (r *Recorder) DumpTail() string {
 	}
 	return b.String()
 }
+
+// Last returns the most recent event in the flight ring; ok is false when
+// no ring is configured or nothing was recorded yet.
+func (r *Recorder) Last() (ev Event, ok bool) {
+	if r == nil || r.ringLen == 0 {
+		return Event{}, false
+	}
+	i := r.ringPos - 1
+	if i < 0 {
+		i += len(r.ring)
+	}
+	return r.ring[i], true
+}

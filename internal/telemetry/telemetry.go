@@ -13,11 +13,11 @@
 // run therefore exports byte-identical bytes regardless of -parallel
 // workers, fleet Workers, or arena reuse.
 //
-// The cost contract mirrors core.Probe: a disabled layer is a nil Recorder
-// pointer in core.Config, and every hook site in the hot path pays exactly
-// one nil check — no allocation, no interface dispatch, no closure. All
-// recording methods take scalar arguments so `//slinfer:hotpath` callers
-// never box.
+// The controller feeds the recorder and core.Probe from one emit call,
+// recorder first. A disabled layer is a nil Recorder pointer in
+// core.Config and costs that call one nil check — no allocation, no
+// interface dispatch, no closure. All recording methods take scalar
+// arguments so `//slinfer:hotpath` callers never box.
 package telemetry
 
 import "slinfer/internal/sim"

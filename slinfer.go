@@ -337,8 +337,10 @@ type (
 	InvariantSuite = invariants.Suite
 	// InvariantViolation is one detected invariant breach.
 	InvariantViolation = invariants.Violation
-	// ControllerProbe observes controller lifecycle events (advanced use:
-	// custom witnesses beyond the stock invariant suite).
+	// ControllerProbe observes the controller's one lifecycle event stream
+	// (advanced use: custom witnesses beyond the stock invariant suite).
+	// Observe receives every event after the telemetry recorder (see
+	// WithTelemetry) has stored it; RunFinished receives the final report.
 	ControllerProbe = core.Probe
 )
 
