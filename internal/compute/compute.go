@@ -103,19 +103,11 @@ type InstView struct {
 	BlockedUntil sim.Time
 }
 
-// ViewInstance builds an InstView from live instance state.
-func ViewInstance(inst *engine.Instance, now sim.Time) InstView {
-	v, _ := ViewInstanceInto(inst, nil)
-	return v
-}
-
-// ViewInstanceInto builds an InstView whose request views live in buf,
-// returning the view and the extended buffer. Hot callers reuse one buffer
-// across an executor's instances; the buffer must be pre-sized for every
-// view built from it (growth would reallocate and detach the views already
-// handed out). Validate deep-copies its inputs, so the buffer is free for
-// reuse once validation returns.
-func ViewInstanceInto(inst *engine.Instance, buf []ReqView) (InstView, []ReqView) {
+// viewInstanceInto builds an InstView whose request views live in buf,
+// returning the view and the extended buffer. The buffer must be pre-sized
+// for every view built from it (growth would reallocate and detach the
+// views already handed out).
+func viewInstanceInto(inst *engine.Instance, buf []ReqView) (InstView, []ReqView) {
 	start := len(buf)
 	for _, r := range inst.Running {
 		buf = append(buf, ReqView{
@@ -161,9 +153,25 @@ type Validator struct {
 	// calls (one validation can run per admission attempt, so the copies
 	// dominated the allocation profile). A Validator is therefore not safe
 	// for concurrent use; each controller owns one.
-	projScratch   []InstView
-	reqScratch    []ReqView
-	roundsScratch []int
+	projScratch []projInst
+	reqScratch  []ReqView
+	// Scratch behind the views ViewInstances hands out, kept apart from
+	// the projection scratch so those views can feed Validate directly.
+	viewScratch    []InstView
+	viewReqScratch []ReqView
+}
+
+// projInst is one instance of the virtual projection: its deep-copied view
+// plus the per-instance state every virtual step reads, kept current by
+// rescanning only the instance that ran.
+type projInst struct {
+	InstView
+	// minDeadline is the earliest deadline among Reqs (unset when empty).
+	minDeadline sim.Time
+	// batch and ctx are the decode batch size and its summed context.
+	batch, ctx int
+	// rounds counts decode iterations run after the new request prefilled.
+	rounds int
 }
 
 // NewValidator returns a validator with the paper's defaults.
@@ -180,7 +188,8 @@ func (v *Validator) Reset(overestimate float64, decodeRounds, maxSteps int) {
 	v.Validations, v.Rejections = 0, 0
 	v.projScratch = wipe(v.projScratch)
 	v.reqScratch = wipe(v.reqScratch)
-	v.roundsScratch = wipe(v.roundsScratch)
+	v.viewScratch = wipe(v.viewScratch)
+	v.viewReqScratch = wipe(v.viewReqScratch)
 }
 
 // wipe zeroes a scratch slice's full backing array and returns the empty
@@ -189,6 +198,43 @@ func wipe[T any](s []T) []T {
 	s = s[:cap(s)]
 	clear(s)
 	return s[:0]
+}
+
+// ViewInstances builds the views of insts, minus skip (nil keeps all), in
+// validator-owned scratch, and returns the index of cand among them (-1
+// when absent). The views stay valid until the next ViewInstances or Reset
+// and Validate never writes them, so they can be passed to it directly.
+// The view slice keeps one spare slot, so a caller may append a fresh
+// instance's view without reallocating.
+//
+//slinfer:hotpath
+func (v *Validator) ViewInstances(insts []*engine.Instance, skip, cand *engine.Instance) (views []InstView, candIdx int) {
+	need := 0
+	for _, inst := range insts {
+		if inst != skip {
+			need += inst.TotalLoad()
+		}
+	}
+	if cap(v.viewReqScratch) < need {
+		v.viewReqScratch = make([]ReqView, 0, 2*need)
+	}
+	if cap(v.viewScratch) < len(insts)+1 {
+		v.viewScratch = make([]InstView, 0, 2*(len(insts)+1))
+	}
+	views, buf := v.viewScratch[:0], v.viewReqScratch[:0]
+	candIdx = -1
+	for _, inst := range insts {
+		if inst == skip {
+			continue
+		}
+		if inst == cand {
+			candIdx = len(views)
+		}
+		var iv InstView
+		iv, buf = viewInstanceInto(inst, buf)
+		views = append(views, iv)
+	}
+	return views, candIdx
 }
 
 // Validate virtually adds newReq to insts[candIdx] and simulates the
@@ -208,18 +254,44 @@ func (v *Validator) Validate(now, busyUntil sim.Time, insts []InstView, candIdx 
 	return reason
 }
 
+// validate costs O(steps × (K + R_inst)) for K instances and R_inst request
+// views on the instance that runs each step: every step compares K cached
+// per-instance minima, then rescans only the instance it ran.
+//
+//slinfer:hotpath
 func (v *Validator) validate(now, busyUntil sim.Time, insts []InstView, candIdx int, newReq ReqView, tpotSLO sim.Duration) Reason {
 	if candIdx < 0 || candIdx >= len(insts) {
 		return NewTTFT
 	}
-	over := sim.Duration(v.Overestimate)
-	if over <= 0 {
-		over = 1
+	if cap(v.projScratch) < len(insts) {
+		v.projScratch = make([]projInst, len(insts), 2*len(insts))
+	}
+	proj := v.projScratch[:len(insts)]
+
+	// Case 3 (Figure 15): the aggregate decode round across all colocated
+	// instances must fit within one TPOT budget, otherwise decode tokens
+	// cannot be sustained even with perfect interleaving. It reads only
+	// decode batches, so it runs on the caller's views before any copy.
+	var round sim.Duration
+	for i := range insts {
+		p := &proj[i]
+		p.batch, p.ctx = decodeBatch(insts[i].Reqs)
+		if i == candIdx && !newReq.NeedsPrefill {
+			p.batch++
+			p.ctx += newReq.Ctx
+		}
+		if p.batch == 0 {
+			continue
+		}
+		round += sim.Duration(v.Overestimate) * insts[i].Profile.EstimateDecode(p.batch, p.ctx/p.batch)
+	}
+	if round > tpotSLO {
+		return AggregateDecode
 	}
 
 	// Deep-copy the projection so validation never touches live state. The
-	// copies live in scratch buffers reused across calls; the request buffer
-	// is sized up front so carving per-instance windows never reallocates.
+	// copies live in scratch reused across calls; the request buffer is
+	// sized up front so carving per-instance windows never reallocates.
 	need := 1 // newReq
 	for _, iv := range insts {
 		need += len(iv.Reqs)
@@ -227,71 +299,52 @@ func (v *Validator) validate(now, busyUntil sim.Time, insts []InstView, candIdx 
 	if cap(v.reqScratch) < need {
 		v.reqScratch = make([]ReqView, 0, 2*need)
 	}
-	if cap(v.projScratch) < len(insts) {
-		v.projScratch = make([]InstView, len(insts), 2*len(insts))
-	}
-	proj := v.projScratch[:len(insts)]
 	buf := v.reqScratch[:0]
+	// owing counts non-empty instances yet to verify DecodeRounds decode
+	// iterations after the new request's prefill.
+	owing := 0
 	for i, iv := range insts {
 		start := len(buf)
 		buf = append(buf, iv.Reqs...)
 		if i == candIdx {
 			buf = append(buf, newReq)
 		}
-		proj[i] = InstView{Profile: iv.Profile, BlockedUntil: iv.BlockedUntil,
+		p := &proj[i]
+		p.InstView = InstView{Profile: iv.Profile, BlockedUntil: iv.BlockedUntil,
 			Reqs: buf[start:len(buf):len(buf)]}
-	}
-	v.projScratch, v.reqScratch = proj, buf[:0]
-
-	// Case 3 (Figure 15): the aggregate decode round across all colocated
-	// instances must fit within one TPOT budget, otherwise decode tokens
-	// cannot be sustained even with perfect interleaving.
-	var round sim.Duration
-	for _, iv := range proj {
-		batch, ctx := decodeBatch(iv)
-		if batch == 0 {
-			continue
+		p.rounds = 0
+		if len(p.Reqs) > 0 {
+			p.minDeadline = minDeadline(p.Reqs)
+			if v.DecodeRounds > 0 {
+				owing++
+			}
 		}
-		round += sim.Duration(v.Overestimate) * iv.Profile.EstimateDecode(batch, ctx/batch)
-	}
-	if round > tpotSLO {
-		return AggregateDecode
 	}
 
+	over := sim.Duration(v.Overestimate)
+	if over <= 0 {
+		over = 1
+	}
 	vclock := now
 	if busyUntil > vclock {
 		vclock = busyUntil
 	}
 	newPrefilled := false
-	if cap(v.roundsScratch) < len(proj) {
-		v.roundsScratch = make([]int, 2*len(proj))
-	}
-	roundsAfter := v.roundsScratch[:len(proj)]
-	for i := range roundsAfter {
-		roundsAfter[i] = 0
-	}
 	for step := 0; step < v.MaxSteps; step++ {
 		// Termination: the new request prefilled and every instance
 		// verified DecodeRounds decode iterations (or has no work).
-		if newPrefilled {
-			done := true
-			for i := range proj {
-				if len(proj[i].Reqs) > 0 && roundsAfter[i] < v.DecodeRounds {
-					done = false
-					break
-				}
-			}
-			if done {
-				return OK
-			}
+		if newPrefilled && owing == 0 {
+			return OK
 		}
 		// Min-headroom instance selection, mirroring PickMinHeadroom.
+		// Rounded subtraction is monotone, so fl(minDeadline − vclock) is
+		// bit-equal to the least request headroom on the instance.
 		best, bestH := -1, sim.Duration(0)
 		for i := range proj {
 			if len(proj[i].Reqs) == 0 {
 				continue
 			}
-			h := minHeadroom(proj[i], vclock)
+			h := proj[i].minDeadline.Sub(vclock)
 			if best == -1 || h < bestH {
 				best, bestH = i, h
 			}
@@ -299,16 +352,15 @@ func (v *Validator) validate(now, busyUntil sim.Time, insts []InstView, candIdx 
 		if best == -1 {
 			return OK
 		}
-		iv := &proj[best]
+		p := &proj[best]
 		start := vclock
-		if iv.BlockedUntil > start {
-			start = iv.BlockedUntil
+		if p.BlockedUntil > start {
+			start = p.BlockedUntil
 		}
 		// Run the most urgent request's iteration.
-		ri := mostUrgentReq(*iv, vclock)
-		r := &iv.Reqs[ri]
+		r := &p.Reqs[mostUrgentReq(p.Reqs, vclock, bestH)]
 		if r.NeedsPrefill {
-			end := start.Add(over * iv.Profile.EstimatePrefill(r.InputLen))
+			end := start.Add(over * p.Profile.EstimatePrefill(r.InputLen))
 			if end > r.Deadline {
 				if r.IsNew {
 					return NewTTFT
@@ -318,31 +370,42 @@ func (v *Validator) validate(now, busyUntil sim.Time, insts []InstView, candIdx 
 			r.NeedsPrefill = false
 			r.Deadline = r.Deadline.Add(r.TPOT)
 			r.Ctx++
+			p.batch++
+			p.ctx += r.Ctx
+			p.minDeadline = minDeadline(p.Reqs)
 			if r.IsNew {
 				newPrefilled = true
 			}
 			vclock = end
 			continue
 		}
-		// Decode the whole batch of this instance.
-		batch, ctx := decodeBatch(*iv)
-		end := start.Add(over * iv.Profile.EstimateDecode(batch, ctx/batch))
-		for j := range iv.Reqs {
-			q := &iv.Reqs[j]
-			if q.NeedsPrefill {
-				continue
-			}
-			if end > q.Deadline {
-				if q.IsNew {
-					return NewTTFT
+		// Decode the whole batch of this instance, refreshing its minimum
+		// deadline in the same pass.
+		end := start.Add(over * p.Profile.EstimateDecode(p.batch, p.ctx/p.batch))
+		var minD sim.Time
+		for j := range p.Reqs {
+			q := &p.Reqs[j]
+			if !q.NeedsPrefill {
+				if end > q.Deadline {
+					if q.IsNew {
+						return NewTTFT
+					}
+					return ExistingDelayed
 				}
-				return ExistingDelayed
+				q.Deadline = q.Deadline.Add(q.TPOT)
+				q.Ctx++
 			}
-			q.Deadline = q.Deadline.Add(q.TPOT)
-			q.Ctx++
+			if j == 0 || q.Deadline < minD {
+				minD = q.Deadline
+			}
 		}
+		p.minDeadline = minD
+		p.ctx += p.batch
 		if newPrefilled {
-			roundsAfter[best]++
+			p.rounds++
+			if p.rounds == v.DecodeRounds {
+				owing--
+			}
 		}
 		vclock = end
 	}
@@ -350,35 +413,34 @@ func (v *Validator) validate(now, busyUntil sim.Time, insts []InstView, candIdx 
 	return OK
 }
 
-func decodeBatch(iv InstView) (batch, ctx int) {
-	for _, r := range iv.Reqs {
-		if !r.NeedsPrefill {
+func decodeBatch(reqs []ReqView) (batch, ctx int) {
+	for i := range reqs {
+		if !reqs[i].NeedsPrefill {
 			batch++
-			ctx += r.Ctx
+			ctx += reqs[i].Ctx
 		}
 	}
 	return batch, ctx
 }
 
-func minHeadroom(iv InstView, now sim.Time) sim.Duration {
-	best := sim.Duration(0)
-	first := true
-	for _, r := range iv.Reqs {
-		h := r.Deadline.Sub(now)
-		if first || h < best {
-			best, first = h, false
+// minDeadline returns the earliest deadline of a non-empty request set.
+func minDeadline(reqs []ReqView) sim.Time {
+	m := reqs[0].Deadline
+	for i := 1; i < len(reqs); i++ {
+		if reqs[i].Deadline < m {
+			m = reqs[i].Deadline
 		}
 	}
-	return best
+	return m
 }
 
-func mostUrgentReq(iv InstView, now sim.Time) int {
-	best, idx := sim.Duration(0), 0
-	for i, r := range iv.Reqs {
-		h := r.Deadline.Sub(now)
-		if i == 0 || h < best {
-			best, idx = h, i
+// mostUrgentReq returns the first request whose headroom at now equals h,
+// the instance's minimum: the one the live scheduler's strict < picks.
+func mostUrgentReq(reqs []ReqView, now sim.Time, h sim.Duration) int {
+	for i := range reqs {
+		if reqs[i].Deadline.Sub(now) == h {
+			return i
 		}
 	}
-	return idx
+	return 0
 }

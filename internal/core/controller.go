@@ -82,12 +82,10 @@ type Controller struct {
 	nextInstID   int
 	traceEnd     sim.Time
 
-	// Scratch buffers reused by the admission hot path (shadow validation
-	// builds a projection of every colocated instance per candidate, and
-	// retryPending snapshots the queue); the simulation is single-threaded
-	// per controller, so plain fields suffice.
-	viewScratch    []compute.InstView
-	reqViewScratch []compute.ReqView
+	// Scratch buffers reused by the admission hot path (the prospective
+	// resize estimate, and retryPending's queue snapshot); the simulation is
+	// single-threaded per controller, so plain fields suffice. Shadow
+	// validation's views live in the Validator's own scratch.
 	kvStateScratch []kvcache.ReqState
 	retryScratch   []*engine.Request
 	// routeCandidates scratch: the returned ordering lives in routeScratch
@@ -235,8 +233,6 @@ func (c *Controller) reset(specs []hwsim.NodeSpec, models []model.Model, cfg Con
 	c.routeScratch, c.routeCPU, c.routeGPU = c.routeScratch[:0], c.routeCPU[:0], c.routeGPU[:0]
 	// The admission scratch buffers rest at length 0 but their backing
 	// arrays still pin last run's profiles and requests; wipe to capacity.
-	c.viewScratch = clearScratch(c.viewScratch)
-	c.reqViewScratch = clearScratch(c.reqViewScratch)
 	c.kvStateScratch = clearScratch(c.kvStateScratch)
 	c.retryScratch = clearScratch(c.retryScratch)
 	c.retrying = false
@@ -575,29 +571,6 @@ func (c *Controller) prospectiveResizeBlock(req *engine.Request, inst *engine.In
 	return kvcache.ScaleTime(cur, c.Cfg.Watermark.Recommend(require))
 }
 
-// beginViews prepares the view scratch for projecting ex's instances (plus
-// one candidate view). Validate deep-copies its inputs, so both buffers are
-// free for reuse as soon as it returns; the request-view buffer is sized up
-// front because growth mid-build would detach earlier views' sub-slices.
-func (c *Controller) beginViews(ex *cluster.Executor) ([]compute.InstView, []compute.ReqView) {
-	need := 0
-	for _, other := range ex.Instances {
-		need += other.TotalLoad()
-	}
-	if cap(c.reqViewScratch) < need {
-		c.reqViewScratch = make([]compute.ReqView, 0, need*2)
-	}
-	if cap(c.viewScratch) < len(ex.Instances)+1 {
-		c.viewScratch = make([]compute.InstView, 0, 2*(len(ex.Instances)+1))
-	}
-	return c.viewScratch[:0], c.reqViewScratch[:0]
-}
-
-// endViews returns the (possibly grown) scratch backing for reuse.
-func (c *Controller) endViews(views []compute.InstView, rbuf []compute.ReqView) {
-	c.viewScratch, c.reqViewScratch = views[:0], rbuf[:0]
-}
-
 // validateOn runs §VI-C shadow validation of adding rv to executor ex. The
 // candidate is either cand, an instance already on ex whose view is
 // additionally blocked for candBlock (a prospective resize), or — when prof
@@ -609,11 +582,9 @@ func (c *Controller) validateOn(ex *cluster.Executor, cand *engine.Instance, pro
 		start = time.Now() //slinfer:wallclock MeasureOverhead-gated validator profiling; feeds only Collector.ValidationNs, never event times
 	}
 	now := c.Sim.Now()
-	views, rbuf := c.beginViews(ex)
-	candIdx := -1
-	for _, other := range ex.Instances {
-		var v compute.InstView
-		v, rbuf = compute.ViewInstanceInto(other, rbuf)
+	views, candIdx := c.Validator.ViewInstances(ex.Instances, nil, cand)
+	for i, other := range ex.Instances {
+		v := &views[i]
 		if other.ResizeInFlight {
 			// The resize op recorded its landing time when it was issued;
 			// charge only the remaining fraction, not a fresh full-size
@@ -624,13 +595,11 @@ func (c *Controller) validateOn(ex *cluster.Executor, cand *engine.Instance, pro
 		if eta, ok := c.loadETA[other.ID]; ok && eta > v.BlockedUntil {
 			v.BlockedUntil = eta // cold start still in progress
 		}
-		if other == cand {
-			candIdx = len(views)
+		if i == candIdx {
 			if b := now.Add(candBlock); candBlock > 0 && b > v.BlockedUntil {
 				v.BlockedUntil = b
 			}
 		}
-		views = append(views, v)
 	}
 	if prof != nil {
 		candIdx = len(views)
@@ -641,7 +610,6 @@ func (c *Controller) validateOn(ex *cluster.Executor, cand *engine.Instance, pro
 		busyUntil = ex.BusyUntil()
 	}
 	got := c.Validator.Validate(now, busyUntil, views, candIdx, rv, tpot)
-	c.endViews(views, rbuf)
 	if c.Cfg.MeasureOverhead {
 		c.Collector.ValidationNs += time.Since(start).Nanoseconds() //slinfer:wallclock diagnostic overhead counter only
 	}

@@ -7,9 +7,11 @@ import (
 	"slinfer/internal/compute"
 	"slinfer/internal/engine"
 	"slinfer/internal/hwsim"
+	"slinfer/internal/kvcache"
 	"slinfer/internal/model"
 	"slinfer/internal/perfmodel"
 	"slinfer/internal/sim"
+	"slinfer/internal/workload"
 )
 
 // fakeHost implements Host for the pure policy mechanics; methods the
@@ -174,6 +176,93 @@ func TestSharingModeString(t *testing.T) {
 	} {
 		if m.String() != want {
 			t.Errorf("%d.String() = %s, want %s", m, m.String(), want)
+		}
+	}
+}
+
+// preemptHost drives SLOPreserving.TryPreempt over one executor: the
+// grower is the only route candidate, and the actions are recorded.
+type preemptHost struct {
+	*fakeHost
+	now       sim.Time
+	grower    *engine.Instance
+	ex        *cluster.Executor
+	val       *compute.Validator
+	reclaimed []*engine.Instance
+	admitted  []*engine.Instance
+	preempts  int
+}
+
+func (h *preemptHost) Now() sim.Time { return h.now }
+func (h *preemptHost) RouteCandidates(model.Model) []*engine.Instance {
+	return []*engine.Instance{h.grower}
+}
+func (h *preemptHost) ExecutorOf(*engine.Instance) *cluster.Executor { return h.ex }
+func (h *preemptHost) Validator() *compute.Validator                 { return h.val }
+func (h *preemptHost) RecordPreemption()                             { h.preempts++ }
+func (h *preemptHost) Reclaim(inst *engine.Instance)                 { h.reclaimed = append(h.reclaimed, inst) }
+func (h *preemptHost) Admit(_ *engine.Request, inst *engine.Instance) bool {
+	h.admitted = append(h.admitted, inst)
+	return true
+}
+
+func testInstance(reg *perfmodel.Registry, id int, m model.Model, state engine.InstState) *engine.Instance {
+	inst := &engine.Instance{
+		ID: id, Model: m, Class: hwsim.A100, Share: 1, NodeIdxs: []int{1},
+		Profile: reg.Get(hwsim.A100, m, 1), Cache: kvcache.NewCache(m, 1), State: state,
+	}
+	inst.Cache.SetCapacity(60 * model.GiB)
+	return inst
+}
+
+func testRequest(id int64, m model.Model, at sim.Time) *engine.Request {
+	return engine.NewRequest(workload.Request{ID: id, ModelName: m.Name, Arrival: at, InputLen: 512, OutputLen: 50})
+}
+
+// The preemption pre-check validates the grower's executor minus the
+// victim with no resize or cold-start blocking: a grower whose KV resize
+// lands long after the new request's TTFT, next to a neighbour still
+// loading, still passes it, although either blocking would reject.
+func TestPreemptionPreCheckIgnoresBlocking(t *testing.T) {
+	reg := perfmodel.NewRegistry(256)
+	grower := testInstance(reg, 1, model.Llama2_7B, engine.Active)
+	for i := int64(0); i < 2; i++ {
+		r := testRequest(i, model.Llama2_7B, 0.5)
+		grower.Admit(r)
+		grower.CompletePrefill(r, 0.8)
+	}
+	grower.ResizeInFlight, grower.ResizeDoneAt = true, 100
+	victim := testInstance(reg, 2, model.Llama2_13B, engine.Active)
+	loading := testInstance(reg, 3, model.CodeLlama34B, engine.Loading)
+	loading.Admit(testRequest(10, model.CodeLlama34B, 1))
+
+	h := &preemptHost{fakeHost: newFakeHost(), now: 1, grower: grower, val: compute.NewValidator()}
+	h.ex = h.cl.Nodes[1].NewExecutor(1)
+	for _, inst := range []*engine.Instance{grower, victim, loading} {
+		h.ex.AddInstance(inst)
+	}
+	req := testRequest(20, model.Llama2_7B, 1)
+	if !(SLOPreserving{}).TryPreempt(h, req, model.Llama2_7B) {
+		t.Fatal("preemption should pass its pre-check and execute")
+	}
+	if h.preempts != 1 || len(h.reclaimed) != 1 || h.reclaimed[0] != victim ||
+		len(h.admitted) != 1 || h.admitted[0] != grower {
+		t.Fatalf("preempts=%d reclaimed=%v admitted=%v", h.preempts, h.reclaimed, h.admitted)
+	}
+	if h.val.Validations != 1 || h.val.Rejections != 0 {
+		t.Fatalf("validations/rejections = %d/%d, want one passing pre-check", h.val.Validations, h.val.Rejections)
+	}
+
+	// Either blocking would flip the decision.
+	for _, blocked := range []*engine.Instance{grower, loading} {
+		views, candIdx := h.val.ViewInstances(h.ex.Instances, victim, grower)
+		for i, inst := range []*engine.Instance{grower, loading} {
+			if inst == blocked {
+				views[i].BlockedUntil = 100
+			}
+		}
+		if got := h.val.Validate(h.now, h.now, views, candIdx, compute.ViewRequest(req), req.Obj.TPOT); got == compute.OK {
+			t.Errorf("blocking instance %d should reject the pre-check", blocked.ID)
 		}
 	}
 }

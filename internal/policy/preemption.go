@@ -56,24 +56,16 @@ func (p SLOPreserving) TryPreempt(h Host, req *engine.Request, m model.Model) bo
 // actually take the request afterwards.
 func (p SLOPreserving) preemptAndAdmit(h Host, req *engine.Request, grower, victim *engine.Instance) bool {
 	// Cheap feasibility pre-check: without the victim, would the grower's
-	// executor pass shadow validation?
+	// executor pass shadow validation? The views carry no resize or
+	// cold-start blocking.
 	ex := h.ExecutorOf(grower)
-	views := make([]compute.InstView, 0, len(ex.Instances))
-	candIdx := -1
-	for _, other := range ex.Instances {
-		if other == victim {
-			continue
-		}
-		if other == grower {
-			candIdx = len(views)
-		}
-		views = append(views, compute.ViewInstance(other, h.Now()))
-	}
+	val := h.Validator()
+	views, candIdx := val.ViewInstances(ex.Instances, victim, grower)
 	busyUntil := h.Now()
 	if ex.Busy() {
 		busyUntil = ex.BusyUntil()
 	}
-	if h.Validator().Validate(h.Now(), busyUntil, views, candIdx,
+	if val.Validate(h.Now(), busyUntil, views, candIdx,
 		compute.ViewRequest(req), req.Obj.TPOT) != compute.OK {
 		return false
 	}
