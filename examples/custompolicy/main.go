@@ -20,6 +20,7 @@ import (
 	"slinfer/internal/engine"
 	"slinfer/internal/hwsim"
 	"slinfer/internal/model"
+	"slinfer/internal/policy"
 )
 
 // WidestFit inverts the paper's placement: candidates are ordered by free
@@ -39,30 +40,20 @@ func (p *WidestFit) PlaceNew(h slinfer.PolicyHost, req *engine.Request, m model.
 		return p.BinPackPlacement.PlaceNew(h, req, m)
 	}
 	type cand struct {
-		n    *cluster.Node
-		free int64
+		n     *cluster.Node
+		free  int64
+		share float64
 	}
 	var gpus, cpus []cand
 	for _, n := range h.Nodes() {
-		share := p.Share(m, n.Spec.Class)
-		if n.Kind() == hwsim.CPU {
-			if !p.UseCPU {
-				continue
-			}
-			// Same CPU feasibility gate as the stock policy: never place a
-			// request on a CPU that cannot meet its TTFT.
-			if p.ShadowValidation && !h.Profile(n.Spec.Class, m, share).CanMeet(req.W.InputLen, req.Obj) {
-				continue
-			}
-		}
-		if !p.HasSlot(h, n, share) {
+		// Same node-feasibility gate as the stock policy: never place a
+		// request on a CPU that cannot meet its TTFT, nor where the slot or
+		// the creation memory does not fit.
+		share, ok := policy.NodeFits(h, p, n, m, req, p.UseCPU, p.ShadowValidation)
+		if !ok {
 			continue
 		}
-		need := h.CreationBytes(m, n, share, req)
-		if need < 0 || n.Mem.OptimisticFree() < need {
-			continue
-		}
-		c := cand{n, n.Mem.OptimisticFree()}
+		c := cand{n, n.Mem.OptimisticFree(), share}
 		if n.Kind() == hwsim.GPU {
 			gpus = append(gpus, c)
 		} else {
@@ -75,11 +66,10 @@ func (p *WidestFit) PlaceNew(h slinfer.PolicyHost, req *engine.Request, m model.
 	widest(gpus)
 	widest(cpus)
 	for _, c := range append(gpus, cpus...) {
-		share := p.Share(m, c.n.Spec.Class)
-		if !p.AdmitScaleOut(h, c.n, m, share, req) {
+		if !p.AdmitScaleOut(h, c.n, m, c.share, req) {
 			continue
 		}
-		if h.Spawn(m, []*cluster.Node{c.n}, share, req) {
+		if h.Spawn(m, []*cluster.Node{c.n}, c.share, req) {
 			return true
 		}
 	}

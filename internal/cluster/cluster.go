@@ -309,15 +309,6 @@ func (c *Cluster) SetSlow(f float64) {
 	}
 }
 
-// KickAll kicks every executor (used after global state changes).
-func (c *Cluster) KickAll() {
-	for _, n := range c.Nodes {
-		for _, e := range n.Executors {
-			e.Kick()
-		}
-	}
-}
-
 // CheckInvariants verifies every node's memory invariants.
 func (c *Cluster) CheckInvariants() error {
 	for _, n := range c.Nodes {

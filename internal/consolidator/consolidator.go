@@ -56,18 +56,10 @@ func PreemptionVictims(grower *engine.Instance, neighbours []*engine.Instance) [
 	return out
 }
 
-// RouteOrder sorts same-model instances for reactive bin-packing (§VIII-B):
-// new requests go preferentially to the instance with the largest batch, so
-// large instances grow (and gain preemption priority) while small fragments
-// drain and get reclaimed.
-func RouteOrder(instances []*engine.Instance) []*engine.Instance {
-	out := append([]*engine.Instance(nil), instances...)
-	SortRoute(out)
-	return out
-}
-
-// SortRoute applies RouteOrder's ordering in place, without allocating —
-// the form the controller's routing hot path uses over its scratch buffers.
+// SortRoute orders same-model instances in place for reactive bin-packing
+// (§VIII-B): new requests go preferentially to the instance with the
+// largest batch, so large instances grow (and gain preemption priority)
+// while small fragments drain and get reclaimed. It does not allocate.
 func SortRoute(instances []*engine.Instance) {
 	insertionSort(instances, func(a, b *engine.Instance) bool {
 		if a.TotalLoad() != b.TotalLoad() {
@@ -87,23 +79,11 @@ type NodeScore struct {
 	IsCPU bool
 }
 
-// PlaceOrder sorts placement candidates: CPU nodes first (when cpuFirst),
-// then best-fit by free memory — the tightest node that still fits, which
+// SortPlace orders placement candidates in place: CPU nodes first (when
+// cpuFirst), then best-fit by free memory — the tightest node first, which
 // keeps the packing dense and leaves big holes for future large instances.
-// Candidates that cannot fit needBytes are dropped.
-func PlaceOrder(cands []NodeScore, needBytes int64, cpuFirst bool) []NodeScore {
-	var fit []NodeScore
-	for _, c := range cands {
-		if c.FreeBytes >= needBytes {
-			fit = append(fit, c)
-		}
-	}
-	SortPlace(fit, cpuFirst)
-	return fit
-}
-
-// SortPlace applies PlaceOrder's ordering in place without filtering or
-// allocating — for callers whose candidates all fit (needBytes 0).
+// Ties break by node index, so the order is total. It does not allocate;
+// callers filter out candidates that cannot fit beforehand.
 func SortPlace(cands []NodeScore, cpuFirst bool) {
 	insertionSort(cands, func(a, b NodeScore) bool {
 		if cpuFirst && a.IsCPU != b.IsCPU {

@@ -55,13 +55,10 @@ func TestRouteOrderLargestFirst(t *testing.T) {
 	a := inst(1, "A", 2)
 	b := inst(2, "A", 5)
 	c := inst(3, "A", 3)
-	order := RouteOrder([]*engine.Instance{a, b, c})
+	order := []*engine.Instance{a, b, c}
+	SortRoute(order)
 	if order[0] != b || order[1] != c || order[2] != a {
 		t.Fatalf("order = %d,%d,%d, want 2,3,1", order[0].ID, order[1].ID, order[2].ID)
-	}
-	// Input slice untouched.
-	if a.ID != 1 {
-		t.Fatal("input mutated")
 	}
 }
 
@@ -70,21 +67,21 @@ func TestPlaceOrderBestFitCPUFirst(t *testing.T) {
 		{NodeIdx: 0, FreeBytes: 100, IsCPU: false},
 		{NodeIdx: 1, FreeBytes: 50, IsCPU: false},
 		{NodeIdx: 2, FreeBytes: 70, IsCPU: true},
-		{NodeIdx: 3, FreeBytes: 30, IsCPU: true}, // too small for need=40
+		{NodeIdx: 3, FreeBytes: 70, IsCPU: false}, // ties node 2 on free bytes
 	}
-	got := PlaceOrder(cands, 40, true)
-	if len(got) != 3 {
-		t.Fatalf("len = %d, want 3 (one dropped)", len(got))
-	}
+	got := append([]NodeScore(nil), cands...)
+	SortPlace(got, true)
 	if got[0].NodeIdx != 2 {
 		t.Fatalf("first = %d, want CPU node 2", got[0].NodeIdx)
 	}
-	if got[1].NodeIdx != 1 || got[2].NodeIdx != 0 {
+	if got[1].NodeIdx != 1 || got[2].NodeIdx != 3 || got[3].NodeIdx != 0 {
 		t.Fatalf("GPU best-fit order wrong: %v", got)
 	}
-	// Without CPU preference, pure best fit.
-	got = PlaceOrder(cands, 40, false)
-	if got[0].NodeIdx != 1 || got[1].NodeIdx != 2 || got[2].NodeIdx != 0 {
+	// Without CPU preference, pure best fit; equal free bytes break by
+	// node index.
+	got = append(got[:0], cands...)
+	SortPlace(got, false)
+	if got[0].NodeIdx != 1 || got[1].NodeIdx != 2 || got[2].NodeIdx != 3 || got[3].NodeIdx != 0 {
 		t.Fatalf("best-fit order wrong: %v", got)
 	}
 }

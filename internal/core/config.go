@@ -21,27 +21,14 @@ import (
 	"slinfer/internal/telemetry"
 )
 
-// SharingMode selects how node compute is divided among instances. It
-// lives in the policy package; the alias keeps the historical core API.
-type SharingMode = policy.SharingMode
-
-const (
-	// Exclusive gives each instance a whole node (ServerlessLLM-style).
-	Exclusive = policy.Exclusive
-	// Static carves fixed partitions (sllm+c+s: half-node instances).
-	Static = policy.Static
-	// Elastic shares the full node across instances at token granularity
-	// (SLINFER).
-	Elastic = policy.Elastic
-)
-
 // Config is the full policy configuration of a run.
 //
 // A serving system is ultimately a composition of three policies —
 // Placement, Preemption, and KeepAlivePolicy — over the thin controller.
-// The scalar knobs below (Sharing, UseCPU, CPUFirst, ShadowValidation,
-// Consolidation, KeepAlive, ...) describe the paper's stock compositions;
-// when a policy field is nil, New derives it from those knobs via
+// The presets set KeepAlivePolicy directly. The scalar knobs below
+// (Sharing, StaticShare, UseCPU, CPUFirst, ShadowValidation,
+// Consolidation) describe the paper's stock placement and preemption; when
+// Placement or Preemption is nil, New derives it from those knobs via
 // composePolicies, so knob mutation after a preset call keeps working.
 // Setting a policy field directly overrides the knobs and is how serving
 // schemes outside the paper's five presets are built (see
@@ -50,7 +37,7 @@ type Config struct {
 	// Name labels reports.
 	Name string
 	// Sharing is the compute-sharing mode.
-	Sharing SharingMode
+	Sharing policy.SharingMode
 	// Placement decides where new instances land and how node compute is
 	// carved for them. nil composes policy.BinPack from
 	// Sharing/StaticShare/UseCPU/CPUFirst/ShadowValidation.
@@ -59,8 +46,9 @@ type Config struct {
 	// instance can absorb a request (§VIII-A). nil derives from
 	// Consolidation: SLOPreserving when set, NoPreemption otherwise.
 	Preemption policy.PreemptionPolicy
-	// KeepAlivePolicy decides how long idle instances are retained. nil
-	// derives policy.FixedKeepAlive{Idle: KeepAlive}.
+	// KeepAlivePolicy decides how long idle instances are retained. The
+	// presets retain them 1 s (§V); nil means policy.FixedKeepAlive{}, which
+	// reclaims an instance as soon as it goes idle.
 	KeepAlivePolicy policy.KeepAlivePolicy
 	// StaticShare is the partition size under Static sharing (paper: 1/2).
 	StaticShare float64
@@ -81,8 +69,6 @@ type Config struct {
 	DynamicMemory bool
 	// Watermark is the §VII-B hysteresis parameter.
 	Watermark kvcache.Watermark
-	// KeepAlive is the idle-instance reclamation threshold (paper: 1 s).
-	KeepAlive sim.Duration
 	// Overestimate inflates shadow-validation estimates (paper: 1.1).
 	Overestimate float64
 	// Fluctuation is the runtime noise amplitude on iteration durations.
@@ -95,11 +81,11 @@ type Config struct {
 	FixedLimit func(m model.Model, class hwsim.DeviceClass, share float64) int
 	// PD enables prefill-decode disaggregation (§IX-G).
 	PD bool
-	// NEOAssist extends exclusive GPU instances with CPU-offloaded KV.
-	NEOAssist bool
-	// NEOExtraKVBytes is the per-instance offloaded KV capacity.
-	NEOExtraKVBytes int64
-	// NEODecodePenalty slows decode on NEO-assisted instances.
+	// NEOExtraKVBytes and NEODecodePenalty are NEO+'s CPU assist (Figure
+	// 29): each exclusive instance's KV extends by NEOExtraKVBytes of host
+	// DRAM, and its decode slows by the NEODecodePenalty fraction. Zero
+	// (every preset but NEOPlus) disables the assist.
+	NEOExtraKVBytes  int64
 	NEODecodePenalty float64
 	// SLO derives a request's objective from its input length; nil uses the
 	// paper's slo.Default. The scenario matrix sweeps SLO classes through
@@ -153,8 +139,8 @@ func (c Config) withDefaults() Config {
 	if c.Watermark.W < 0 {
 		c.Watermark = kvcache.DefaultWatermark
 	}
-	if c.KeepAlive < 0 {
-		c.KeepAlive = sim.Second
+	if c.KeepAlivePolicy == nil {
+		c.KeepAlivePolicy = policy.FixedKeepAlive{}
 	}
 	if c.Overestimate <= 0 {
 		// The paper overestimates iterations by 10% against its hardware's
@@ -179,15 +165,17 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// composePolicies fills nil policy slots from the legacy knobs. This is
-// where the five presets become policy compositions:
+// composePolicies fills nil Placement and Preemption slots from the legacy
+// knobs. With the keep-alive the presets set directly, this is where the
+// five presets become policy compositions:
 //
 //	SLINFER   BinPack{Elastic, CPU-first, shadow-validated} + SLOPreserving + FixedKeepAlive(1s)
 //	sllm      BinPack{Exclusive, GPU-only}                  + NoPreemption  + FixedKeepAlive(1s)
 //	sllm+c    BinPack{Exclusive, CPU-first}                 + NoPreemption  + FixedKeepAlive(1s)
 //	sllm+c+s  BinPack{Static 1/2, CPU-first}                + NoPreemption  + FixedKeepAlive(1s)
 //	NEO+      sllm's composition; the CPU-offloaded KV extension rides on
-//	          the NEOAssist memory knobs, not on placement.
+//	          the NEOExtraKVBytes/NEODecodePenalty magnitudes, not on
+//	          placement.
 //
 // It runs at construction (New), after any knob mutation, so the composed
 // policies always reflect the final knob values.
@@ -208,9 +196,6 @@ func (c Config) composePolicies() Config {
 			c.Preemption = policy.NoPreemption{}
 		}
 	}
-	if c.KeepAlivePolicy == nil {
-		c.KeepAlivePolicy = policy.FixedKeepAlive{Idle: c.KeepAlive}
-	}
 	return c
 }
 
@@ -220,7 +205,7 @@ func (c Config) composePolicies() Config {
 func SLINFER() Config {
 	return Config{
 		Name:             "SLINFER",
-		Sharing:          Elastic,
+		Sharing:          policy.Elastic,
 		UseCPU:           true,
 		CPUFirst:         true,
 		TokenLevelSched:  true,
@@ -228,7 +213,7 @@ func SLINFER() Config {
 		Consolidation:    true,
 		DynamicMemory:    true,
 		Watermark:        kvcache.DefaultWatermark,
-		KeepAlive:        sim.Second,
+		KeepAlivePolicy:  policy.FixedKeepAlive{Idle: sim.Second},
 		Overestimate:     1.25,
 		Fluctuation:      0.05,
 	}.withDefaults()
@@ -284,12 +269,12 @@ func pick(cond bool, a, b int) int {
 // with no preemption, static memory, and fixed concurrency limits.
 func Sllm() Config {
 	return Config{
-		Name:        "sllm",
-		Sharing:     Exclusive,
-		UseCPU:      false,
-		KeepAlive:   sim.Second,
-		Fluctuation: 0.05,
-		FixedLimit:  PaperFixedLimits,
+		Name:            "sllm",
+		Sharing:         policy.Exclusive,
+		UseCPU:          false,
+		KeepAlivePolicy: policy.FixedKeepAlive{Idle: sim.Second},
+		Fluctuation:     0.05,
+		FixedLimit:      PaperFixedLimits,
 	}.withDefaults()
 }
 
@@ -307,7 +292,7 @@ func SllmC() Config {
 func SllmCS() Config {
 	c := SllmC()
 	c.Name = "sllm+c+s"
-	c.Sharing = Static
+	c.Sharing = policy.Static
 	c.StaticShare = 0.5
 	return c
 }
@@ -318,7 +303,6 @@ func SllmCS() Config {
 func NEOPlus(harvestedCores int) Config {
 	c := Sllm()
 	c.Name = "NEO+"
-	c.NEOAssist = true
 	frac := float64(harvestedCores) / 32
 	c.NEOExtraKVBytes = int64(frac * 64e9)
 	c.NEODecodePenalty = 0.10 * frac

@@ -14,6 +14,7 @@ import (
 	"slinfer/internal/metrics"
 	"slinfer/internal/model"
 	"slinfer/internal/perfmodel"
+	"slinfer/internal/policy"
 	"slinfer/internal/sim"
 	"slinfer/internal/slo"
 	"slinfer/internal/telemetry"
@@ -161,13 +162,13 @@ func (c *Controller) finishSetup(models []model.Model) {
 	// Partitioned executors host one instance each, where headroom order
 	// degenerates to FIFO anyway.
 	c.pick = compute.PickFIFO
-	if c.Cfg.TokenLevelSched || c.Cfg.Sharing != Elastic {
+	if c.Cfg.TokenLevelSched || c.Cfg.Sharing != policy.Elastic {
 		c.pick = compute.PickMinHeadroom
 	}
 	for _, m := range models {
 		c.RegisterModel(m)
 	}
-	if c.Cfg.Sharing == Elastic {
+	if c.Cfg.Sharing == policy.Elastic {
 		for _, n := range c.Cluster.Nodes {
 			ex := n.NewExecutor(1)
 			c.wireExecutor(ex)
@@ -454,7 +455,7 @@ func (c *Controller) ensureDecodeInstance(m model.Model, req *engine.Request) {
 
 // tryExisting routes to a live instance per the reactive bin-packing order.
 func (c *Controller) tryExisting(req *engine.Request, m model.Model) bool {
-	cands := c.routeCandidates(m, wantRole(c.Cfg, engine.PrefillWork))
+	cands := c.routeCandidates(m, wantRole(c.Cfg))
 	for _, inst := range cands {
 		if c.admit(req, inst) {
 			return true
@@ -495,19 +496,20 @@ func (c *Controller) routeCandidates(m model.Model, role engine.Role) []*engine.
 }
 
 // wantRole returns the instance role requests are admitted to.
-func wantRole(cfg Config, _ engine.WorkKind) engine.Role {
+func wantRole(cfg Config) engine.Role {
 	if cfg.PD {
 		return engine.PrefillOnly
 	}
 	return engine.Mixed
 }
 
-// admit runs the §V admission pipeline for one candidate instance:
-// CPU-capability gate, fixed limit or shadow validation, then the memory
+// admit runs the §V admission pipeline for one candidate instance: the
+// per-instance room check, the CPU-capability gate, shadow validation
+// (SLINFER; the baselines stop at their fixed limit), then the memory
 // shadow check with §VII-D compromise. On success the request joins the
 // instance's prefill queue.
 func (c *Controller) admit(req *engine.Request, inst *engine.Instance) bool {
-	if inst.TotalLoad() >= c.Cfg.MaxBatch {
+	if !c.hasRoom(inst) {
 		return false
 	}
 	// CPU gate: SLINFER profiles CPUs in advance and falls back to GPU
@@ -518,11 +520,7 @@ func (c *Controller) admit(req *engine.Request, inst *engine.Instance) bool {
 			return false
 		}
 	}
-	if lim := c.Cfg.FixedLimit; lim != nil {
-		if inst.TotalLoad() >= lim(inst.Model, inst.Class, inst.Share) {
-			return false
-		}
-	} else if c.Cfg.ShadowValidation {
+	if c.Cfg.FixedLimit == nil && c.Cfg.ShadowValidation {
 		if !c.shadowValidate(req, inst) {
 			return false
 		}
@@ -534,6 +532,17 @@ func (c *Controller) admit(req *engine.Request, inst *engine.Instance) bool {
 	}
 	c.place(req, inst)
 	return true
+}
+
+// hasRoom reports whether inst can take one more request under the
+// per-instance caps: MaxBatch, then the baselines' fixed limit.
+func (c *Controller) hasRoom(inst *engine.Instance) bool {
+	load := inst.TotalLoad()
+	if load >= c.Cfg.MaxBatch {
+		return false
+	}
+	lim := c.Cfg.FixedLimit
+	return lim == nil || load < lim(inst.Model, inst.Class, inst.Share)
 }
 
 // shadowValidate projects the candidate's executor forward with the request
@@ -556,7 +565,7 @@ func (c *Controller) shadowValidate(req *engine.Request, inst *engine.Instance) 
 // would trigger will block the candidate instance (§VII-B's early scale-up
 // is not free: Figure 17's costs stall iterations).
 func (c *Controller) prospectiveResizeBlock(req *engine.Request, inst *engine.Instance) sim.Duration {
-	if !c.Cfg.DynamicMemory || c.isStaticInstance(inst) || inst.ResizeInFlight {
+	if c.isStaticInstance(inst) || inst.ResizeInFlight {
 		return 0
 	}
 	est := c.estimators[inst.Model.Name]

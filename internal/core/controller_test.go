@@ -3,8 +3,10 @@ package core
 import (
 	"testing"
 
+	"slinfer/internal/engine"
 	"slinfer/internal/hwsim"
 	"slinfer/internal/model"
+	"slinfer/internal/policy"
 	"slinfer/internal/sim"
 	"slinfer/internal/workload"
 )
@@ -244,6 +246,35 @@ func TestPDDisaggregation(t *testing.T) {
 	}
 }
 
+// The PD decode instance is placed through the same node-feasibility gate
+// as every other scale-out: sllm+c's fixed limits disable 22B on CPU, so
+// the decode stage must land on a GPU and the request must meet its SLO.
+func TestPDDecodeRespectsFixedLimits(t *testing.T) {
+	m := model.Codestral22B
+	cfg := SllmC()
+	cfg.PD = true
+	// Retain instances past the drain so the decode placement is inspectable.
+	cfg.KeepAlivePolicy = policy.FixedKeepAlive{Idle: 60 * sim.Minute}
+	tr := singleRequestTrace(m.Name, 1024, 50)
+	c, stats := runTrace(t, hwsim.Testbed(1, 2), []model.Model{m}, cfg, tr)
+	decode := 0
+	for _, inst := range c.InstancesOf(m.Name) {
+		if inst.Role != engine.DecodeOnly {
+			continue
+		}
+		decode++
+		if inst.Class.Kind() == hwsim.CPU {
+			t.Fatalf("decode instance %d on a CPU node whose fixed limit is 0", inst.ID)
+		}
+	}
+	if decode == 0 {
+		t.Fatal("no decode instance was created")
+	}
+	if total, met, _ := stats(); total != 1 || met != 1 {
+		t.Fatalf("total=%d met=%d, want 1/1", total, met)
+	}
+}
+
 func TestTPModelSpansTwoGPUs(t *testing.T) {
 	m := model.CodeLlama34B
 	tr := singleRequestTrace(m.Name, 1024, 30)
@@ -273,7 +304,7 @@ func TestTPInsufficientGPUsQueues(t *testing.T) {
 func TestKeepAliveZeroReclaimsImmediately(t *testing.T) {
 	m := model.Llama2_7B
 	cfg := SLINFER()
-	cfg.KeepAlive = 0.01
+	cfg.KeepAlivePolicy = policy.FixedKeepAlive{Idle: 0.01}
 	tr := singleRequestTrace(m.Name, 512, 10)
 	c, _ := runTrace(t, hwsim.Testbed(1, 0), []model.Model{m}, cfg, tr)
 	if c.Collector.Reclaims != 1 {

@@ -11,6 +11,7 @@ import (
 	"slinfer/internal/kvcache"
 	"slinfer/internal/memctl"
 	"slinfer/internal/model"
+	"slinfer/internal/policy"
 	"slinfer/internal/sim"
 	"slinfer/internal/telemetry"
 )
@@ -128,7 +129,7 @@ func (c *Controller) completeRequest(req *engine.Request, inst *engine.Instance)
 // into inst. Static-memory instances just check residual KV capacity.
 func (c *Controller) ensureMemoryFor(req *engine.Request, inst *engine.Instance) bool {
 	needTokens := int64(req.W.InputLen) + 1
-	if !c.Cfg.DynamicMemory || c.isStaticInstance(inst) {
+	if c.isStaticInstance(inst) {
 		return inst.Cache.FitsTokens(needTokens)
 	}
 	est := c.estimators[inst.Model.Name]
@@ -234,7 +235,7 @@ func (c *Controller) finishResize(inst *engine.Instance, target int64, dur sim.D
 // recheckKV applies the watermark policy against current demand: early
 // scale-up when short, lazy scale-down when far over (§VII-B).
 func (c *Controller) recheckKV(inst *engine.Instance) {
-	if !c.Cfg.DynamicMemory || c.isStaticInstance(inst) || inst.ResizeInFlight {
+	if c.isStaticInstance(inst) || inst.ResizeInFlight {
 		return
 	}
 	if inst.State != engine.Active {
@@ -314,7 +315,7 @@ func (c *Controller) migrate(req *engine.Request, from *engine.Instance) {
 // recursion into preemption (avoids ping-pong).
 func (c *Controller) tryPlaceAvoiding(req *engine.Request, avoid *engine.Instance) bool {
 	m := c.models[req.W.ModelName]
-	for _, inst := range c.routeCandidates(m, wantRole(c.Cfg, engine.PrefillWork)) {
+	for _, inst := range c.routeCandidates(m, wantRole(c.Cfg)) {
 		if inst == avoid {
 			continue
 		}
@@ -369,12 +370,10 @@ func (c *Controller) createInstance(m model.Model, nodes []*cluster.Node, share 
 	inst.ID, inst.Model, inst.Class, inst.Share = c.nextInstID, m, nodes[0].Spec.Class, share
 	inst.Profile = c.Registry.Get(nodes[0].Spec.Class, m, share*orOne(nodes[0].SpeedFactor))
 	inst.State = engine.Loading
-	inst.Role = wantRole(c.Cfg, engine.PrefillWork)
+	inst.Role = wantRole(c.Cfg)
 	inst.CreatedAt = c.Sim.Now()
 	c.nextInstID++
-	if c.Cfg.NEOAssist {
-		inst.DecodePenalty = c.Cfg.NEODecodePenalty
-	}
+	inst.DecodePenalty = c.Cfg.NEODecodePenalty
 
 	// Per-node allocations.
 	div := int64(len(nodes))
@@ -391,10 +390,7 @@ func (c *Controller) createInstance(m model.Model, nodes []*cluster.Node, share 
 		c.kvStateScratch = states[:0]
 	} else {
 		memShare := int64(float64(nodes[0].Spec.MemBytes) * share)
-		kvInit = memShare - weights
-		if c.Cfg.NEOAssist {
-			kvInit += c.Cfg.NEOExtraKVBytes
-		}
+		kvInit = memShare - weights + c.Cfg.NEOExtraKVBytes
 		if kvInit <= 0 {
 			return nil
 		}
@@ -402,10 +398,7 @@ func (c *Controller) createInstance(m model.Model, nodes []*cluster.Node, share 
 
 	// Admission across all host nodes first (all-or-nothing). Offloaded
 	// NEO KV lives in host DRAM, not node memory.
-	kvCharge := kvInit
-	if c.Cfg.NEOAssist {
-		kvCharge = kvInit - c.Cfg.NEOExtraKVBytes
-	}
+	kvCharge := kvInit - c.Cfg.NEOExtraKVBytes
 	for _, n := range nodes {
 		if !n.Mem.CanAdmit(weights + kvCharge) {
 			return nil
@@ -550,13 +543,7 @@ func (c *Controller) removeInstance(inst *engine.Instance, countLifetime bool) {
 	// timeline is unchanged.
 	div := int64(len(inst.NodeIdxs))
 	weights := inst.Model.WeightBytes()/div + hwsim.ActivationReserve
-	kv := inst.Cache.CapacityBytes()
-	if c.Cfg.NEOAssist {
-		kv -= c.Cfg.NEOExtraKVBytes
-		if kv < 0 {
-			kv = 0
-		}
-	}
+	kv := max(inst.Cache.CapacityBytes()-c.Cfg.NEOExtraKVBytes, 0)
 	dynamicKV := !c.isStaticInstance(inst)
 	unloadFrom := weights + kv
 	if dynamicKV {
@@ -616,10 +603,7 @@ func (c *Controller) finishPDTransfer(req *engine.Request) {
 			}
 			continue
 		}
-		if inst.State != engine.Active || inst.TotalLoad() >= c.Cfg.MaxBatch {
-			continue
-		}
-		if lim := c.Cfg.FixedLimit; lim != nil && inst.TotalLoad() >= lim(inst.Model, inst.Class, inst.Share) {
+		if inst.State != engine.Active || !c.hasRoom(inst) {
 			continue
 		}
 		// The arriving KV needs cache space; drive the §VII-B scale-up.
@@ -658,24 +642,8 @@ func (c *Controller) decodeCandidates(m model.Model) []*engine.Instance {
 // createDecodeInstance spawns a DecodeOnly instance for PD mode.
 func (c *Controller) createDecodeInstance(m model.Model, req *engine.Request) *engine.Instance {
 	for _, n := range c.Cluster.Nodes {
-		if n.Kind() == hwsim.CPU {
-			if !c.Cfg.UseCPU {
-				continue
-			}
-			if c.Cfg.ShadowValidation {
-				prof := c.Registry.Get(n.Spec.Class, m,
-					c.Cfg.Placement.Share(m, n.Spec.Class)*orOne(n.SpeedFactor))
-				if !prof.CanMeet(req.W.InputLen, req.Obj) {
-					continue
-				}
-			}
-		}
-		share := c.Cfg.Placement.Share(m, n.Spec.Class)
-		if !c.Cfg.Placement.HasSlot(c.host, n, share) {
-			continue
-		}
-		if c.creationBytes(m, n, share, req) < 0 ||
-			n.Mem.OptimisticFree() < c.creationBytes(m, n, share, req) {
+		share, ok := policy.NodeFits(c.host, c.Cfg.Placement, n, m, req, c.Cfg.UseCPU, c.Cfg.ShadowValidation)
+		if !ok {
 			continue
 		}
 		// Decode instances share nodes too: the same §VI-C scale-out

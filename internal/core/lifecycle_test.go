@@ -7,6 +7,7 @@ import (
 	"slinfer/internal/hwsim"
 	"slinfer/internal/kvcache"
 	"slinfer/internal/model"
+	"slinfer/internal/policy"
 	"slinfer/internal/sim"
 	"slinfer/internal/workload"
 )
@@ -14,7 +15,7 @@ import (
 func TestKeepAliveCancelledByNewRequest(t *testing.T) {
 	m := model.Llama2_7B
 	cfg := SLINFER()
-	cfg.KeepAlive = 5 * sim.Second
+	cfg.KeepAlivePolicy = policy.FixedKeepAlive{Idle: 5 * sim.Second}
 	s := sim.New()
 	c := New(s, hwsim.Testbed(1, 0), []model.Model{m}, cfg)
 	c.Submit(workload.Request{ID: 1, ModelName: m.Name, Arrival: 0, InputLen: 512, OutputLen: 5})
@@ -129,7 +130,7 @@ func TestCPUStressSlowsIterations(t *testing.T) {
 func TestTPPartnerNodeReleasedOnReclaim(t *testing.T) {
 	m := model.CodeLlama34B
 	cfg := SLINFER()
-	cfg.KeepAlive = 0.2
+	cfg.KeepAlivePolicy = policy.FixedKeepAlive{Idle: 0.2}
 	s := sim.New()
 	c := New(s, hwsim.Testbed(0, 2), []model.Model{m}, cfg)
 	c.Submit(workload.Request{ID: 1, ModelName: m.Name, Arrival: 0, InputLen: 512, OutputLen: 5})
@@ -152,7 +153,7 @@ func TestQueuedRequestServedWhenCapacityFrees(t *testing.T) {
 	// request and is served after reclamation, within its TTFT.
 	models := model.Replicas(model.Llama2_7B, 2)
 	cfg := Sllm()
-	cfg.KeepAlive = 0.1
+	cfg.KeepAlivePolicy = policy.FixedKeepAlive{Idle: 0.1}
 	s := sim.New()
 	c := New(s, hwsim.Testbed(0, 1), models, cfg)
 	c.Submit(workload.Request{ID: 1, ModelName: models[0].Name, Arrival: 0, InputLen: 512, OutputLen: 4})

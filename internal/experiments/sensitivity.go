@@ -7,6 +7,7 @@ import (
 	"slinfer/internal/hwsim"
 	"slinfer/internal/kvcache"
 	"slinfer/internal/model"
+	"slinfer/internal/policy"
 	"slinfer/internal/sim"
 	"slinfer/internal/workload"
 )
@@ -162,10 +163,11 @@ func runFig30(s Scale) Result {
 	for _, ka := range thresholds {
 		for _, base := range []core.Config{core.SllmCS(), core.SLINFER()} {
 			cfg := base
-			cfg.KeepAlive = sim.Duration(ka)
+			idle := sim.Duration(ka)
 			if ka == 0 {
-				cfg.KeepAlive = 0.01
+				idle = 0.01
 			}
+			cfg.KeepAlivePolicy = policy.FixedKeepAlive{Idle: idle}
 			cells = append(cells, cell{ka, cfg})
 		}
 	}

@@ -182,23 +182,6 @@ func (s *Suite) Ok() bool { return len(s.violations) == 0 && s.dropped == 0 }
 // its own in-flight bookkeeping against this before re-driving.
 func (s *Suite) LiveCount() int { return len(s.live) }
 
-// AppendLiveIDs appends the live request IDs to dst in ascending order
-// and returns the extended slice.
-func (s *Suite) AppendLiveIDs(dst []int64) []int64 {
-	start := len(dst)
-	//slinfer:maporder collected tail is sorted below before anyone reads it
-	for id := range s.live {
-		dst = append(dst, id)
-	}
-	tail := dst[start:]
-	for i := 1; i < len(tail); i++ {
-		for j := i; j > 0 && tail[j] < tail[j-1]; j-- {
-			tail[j], tail[j-1] = tail[j-1], tail[j]
-		}
-	}
-	return dst
-}
-
 // Err returns nil when the run was clean, or an error summarizing the first
 // violation and the total count.
 func (s *Suite) Err() error {

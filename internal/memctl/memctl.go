@@ -236,10 +236,6 @@ func (nm *NodeMemory) OptimisticFree() int64 { return nm.capacity - nm.optimisti
 // PessimisticUsed returns the execution-safety usage bound.
 func (nm *NodeMemory) PessimisticUsed() int64 { return nm.pessimistic }
 
-// PhysicalUsed returns the upper bound on bytes physically occupied right
-// now (operations are charged at their peak for their whole duration).
-func (nm *NodeMemory) PhysicalUsed() int64 { return nm.pessimistic }
-
 // StationDepth returns the number of operations waiting in the reservation
 // station.
 func (nm *NodeMemory) StationDepth() int {

@@ -77,43 +77,16 @@ func (p *BinPack) PlaceNew(h Host, req *engine.Request, m model.Model) bool {
 	nodes := h.Nodes()
 	var cands []consolidator.NodeScore
 	for _, n := range nodes {
-		class := n.Spec.Class
-		kindCPU := n.Kind() == hwsim.CPU
-		if kindCPU {
-			if !p.UseCPU {
-				continue
-			}
-			// SLINFER excludes CPUs without matrix acceleration and CPUs
-			// that cannot meet this request's SLO (§V). Baselines use the
-			// fixed-limit table (0 disables a class entirely).
-			if p.ShadowValidation {
-				prof := h.Profile(class, m, p.Share(m, class))
-				if !prof.CanMeet(req.W.InputLen, req.Obj) {
-					continue
-				}
-			}
+		if _, ok := NodeFits(h, p, n, m, req, p.UseCPU, p.ShadowValidation); ok {
+			cands = append(cands, consolidator.NodeScore{
+				NodeIdx: n.Idx, FreeBytes: n.Mem.OptimisticFree(), IsCPU: n.Kind() == hwsim.CPU,
+			})
 		}
-		share := p.Share(m, class)
-		if lim, ok := h.FixedLimit(m, class, share); ok && lim <= 0 {
-			continue
-		}
-		if !p.HasSlot(h, n, share) {
-			continue
-		}
-		if h.CreationBytes(m, n, share, req) < 0 {
-			continue
-		}
-		cands = append(cands, consolidator.NodeScore{
-			NodeIdx: n.Idx, FreeBytes: n.Mem.OptimisticFree(), IsCPU: kindCPU,
-		})
 	}
 	consolidator.SortPlace(cands, p.CPUFirst)
 	for _, cand := range cands {
 		n := nodes[cand.NodeIdx]
 		share := p.Share(m, n.Spec.Class)
-		if cand.FreeBytes < h.CreationBytes(m, n, share, req) {
-			continue
-		}
 		if !p.AdmitScaleOut(h, n, m, share, req) {
 			continue
 		}

@@ -22,6 +22,10 @@ type fakeHost struct {
 	wired  int
 	armed  []sim.Duration
 	shared *cluster.Executor
+	// limits, when set, is the fixed-limit table by device kind; need is
+	// what CreationBytes reports.
+	limits map[hwsim.Kind]int
+	need   int64
 }
 
 func newFakeHost() *fakeHost {
@@ -51,8 +55,11 @@ func (h *fakeHost) Model(string) model.Model                       { panic("unus
 func (h *fakeHost) Profile(hwsim.DeviceClass, model.Model, float64) *perfmodel.Profile {
 	panic("unused")
 }
-func (h *fakeHost) FixedLimit(model.Model, hwsim.DeviceClass, float64) (int, bool) {
-	return 0, false
+func (h *fakeHost) FixedLimit(_ model.Model, class hwsim.DeviceClass, _ float64) (int, bool) {
+	if h.limits == nil {
+		return 0, false
+	}
+	return h.limits[class.Kind()], true
 }
 func (h *fakeHost) MaxBatch() int                 { return 256 }
 func (h *fakeHost) Validator() *compute.Validator { panic("unused") }
@@ -63,7 +70,7 @@ func (h *fakeHost) ValidateScaleOut(*cluster.Executor, *perfmodel.Profile, *engi
 	panic("unused")
 }
 func (h *fakeHost) CreationBytes(model.Model, *cluster.Node, float64, *engine.Request) int64 {
-	panic("unused")
+	return h.need
 }
 func (h *fakeHost) Spawn(model.Model, []*cluster.Node, float64, *engine.Request) bool {
 	panic("unused")
@@ -106,6 +113,42 @@ func TestBinPackHasSlot(t *testing.T) {
 	elastic := &BinPack{Mode: Elastic}
 	if !elastic.HasSlot(h, n, 1) {
 		t.Error("elastic sharing always has a slot (validation gates instead)")
+	}
+}
+
+func TestNodeFitsGates(t *testing.T) {
+	h := newFakeHost()
+	cpu, gpu := h.cl.NodesOfKind(hwsim.CPU)[0], h.cl.NodesOfKind(hwsim.GPU)[0]
+	m := model.Llama2_7B
+	req := &engine.Request{}
+	p := &BinPack{Mode: Exclusive}
+	h.need = 1 << 30
+	fits := func(n *cluster.Node, useCPU bool) bool {
+		_, ok := NodeFits(h, p, n, m, req, useCPU, false)
+		return ok
+	}
+	if !fits(cpu, true) || !fits(gpu, true) {
+		t.Fatal("empty nodes with room must fit")
+	}
+	if fits(cpu, false) {
+		t.Error("CPU nodes are excluded unless CPU serving is enabled")
+	}
+	// A fixed limit of 0 disables the class; a positive one does not.
+	h.limits = map[hwsim.Kind]int{hwsim.CPU: 0, hwsim.GPU: 4}
+	if fits(cpu, true) || !fits(gpu, true) {
+		t.Error("fixed limit 0 must disable CPU only")
+	}
+	h.limits = nil
+	h.slots[gpu.Idx] = 1
+	if fits(gpu, true) {
+		t.Error("a node without a free slot must not fit")
+	}
+	h.slots[gpu.Idx] = 0
+	for _, need := range []int64{-1, gpu.Mem.OptimisticFree() + 1} {
+		h.need = need
+		if fits(gpu, true) {
+			t.Errorf("creation bytes %d must not fit", need)
+		}
 	}
 }
 

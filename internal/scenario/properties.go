@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"slinfer/internal/experiments"
+	"slinfer/internal/policy"
 	"slinfer/internal/sim"
 	"slinfer/internal/workload"
 	"slinfer/internal/workload/traceio"
@@ -212,7 +213,7 @@ func checkKeepAliveMonotone(g Grid) error {
 			if err != nil {
 				return err
 			}
-			cfg.KeepAlive = sim.Duration(keepAlive) * sim.Second
+			cfg.KeepAlivePolicy = policy.FixedKeepAlive{Idle: sim.Duration(keepAlive) * sim.Second}
 			rep, viol := runTrace(cfg, topo, models, tr)
 			if err := violationsErr(viol); err != nil {
 				return fmt.Errorf("keep-alive %vs run: %w", keepAlive, err)

@@ -79,7 +79,8 @@ type (
 
 // Policy layer: a serving scheme is a composition of three policies over
 // the thin controller. Set them on Config (Placement, Preemption,
-// KeepAlivePolicy) to build schemes beyond the paper's presets; nil fields
+// KeepAlivePolicy) to build schemes beyond the paper's presets. The
+// presets set KeepAlivePolicy themselves; nil Placement and Preemption
 // compose the preset behavior from the scalar knobs. See DESIGN.md and
 // examples/custompolicy.
 type (
