@@ -64,8 +64,9 @@ type Config struct {
 	ShadowValidation bool
 	// Consolidation enables §VIII preemption + bin-packing.
 	Consolidation bool
-	// DynamicMemory enables watermark KV scaling through memctl; false
-	// allocates each instance its full memory share at creation (sllm).
+	// DynamicMemory enables watermark KV scaling through memctl for
+	// single-node instances; false allocates each instance its full memory
+	// share at creation (sllm). TP instances always take their full share.
 	DynamicMemory bool
 	// Watermark is the §VII-B hysteresis parameter.
 	Watermark kvcache.Watermark
@@ -82,9 +83,10 @@ type Config struct {
 	// PD enables prefill-decode disaggregation (§IX-G).
 	PD bool
 	// NEOExtraKVBytes and NEODecodePenalty are NEO+'s CPU assist (Figure
-	// 29): each exclusive instance's KV extends by NEOExtraKVBytes of host
-	// DRAM, and its decode slows by the NEODecodePenalty fraction. Zero
-	// (every preset but NEOPlus) disables the assist.
+	// 29): each whole-allocation (static-memory) instance's KV extends by
+	// NEOExtraKVBytes of host DRAM, and its decode slows by the
+	// NEODecodePenalty fraction. Dynamic-memory instances ignore both.
+	// Zero (every preset but NEOPlus) disables the assist.
 	NEOExtraKVBytes  int64
 	NEODecodePenalty float64
 	// SLO derives a request's objective from its input length; nil uses the

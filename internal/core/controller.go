@@ -83,17 +83,17 @@ type Controller struct {
 	nextInstID   int
 	traceEnd     sim.Time
 
-	// Scratch buffers reused by the admission hot path (the prospective
-	// resize estimate, and retryPending's queue snapshot); the simulation is
+	// Scratch buffers reused by the admission hot path (mrequire's demand
+	// states, and retryPending's queue snapshot); the simulation is
 	// single-threaded per controller, so plain fields suffice. Shadow
 	// validation's views live in the Validator's own scratch.
 	kvStateScratch []kvcache.ReqState
 	retryScratch   []*engine.Request
 	// routeCandidates scratch: the returned ordering lives in routeScratch
-	// until the next routeCandidates call. Internal callers (tryExisting,
-	// tryPlaceAvoiding) iterate it immediately and admit never routes, so
-	// they cannot nest; policies get a copy via hostView.RouteCandidates
-	// because preemption routes recursively while iterating.
+	// until the next routeCandidates call. The internal caller (tryExisting)
+	// iterates it immediately and admit never routes, so it cannot nest;
+	// policies get a copy via hostView.RouteCandidates because preemption
+	// routes recursively while iterating.
 	routeScratch []*engine.Instance
 	routeCPU     []*engine.Instance
 	routeGPU     []*engine.Instance
@@ -423,7 +423,7 @@ func (c *Controller) tryPlace(req *engine.Request) bool {
 	placed := false
 	switch {
 	// 1. Existing instances, CPU first, largest batch first (§VIII-B).
-	case c.tryExisting(req, m):
+	case c.tryExisting(req, m, nil):
 		placed = true
 	// 2. Proactive consolidation: preempt smaller neighbours so an existing
 	//    instance can scale up in place (§VIII-A).
@@ -453,11 +453,11 @@ func (c *Controller) ensureDecodeInstance(m model.Model, req *engine.Request) {
 	c.createDecodeInstance(m, req)
 }
 
-// tryExisting routes to a live instance per the reactive bin-packing order.
-func (c *Controller) tryExisting(req *engine.Request, m model.Model) bool {
-	cands := c.routeCandidates(m, wantRole(c.Cfg))
-	for _, inst := range cands {
-		if c.admit(req, inst) {
+// tryExisting routes to a live instance per the reactive bin-packing order,
+// skipping avoid (a migrating request's origin; nil from tryPlace).
+func (c *Controller) tryExisting(req *engine.Request, m model.Model, avoid *engine.Instance) bool {
+	for _, inst := range c.routeCandidates(m, wantRole(c.Cfg)) {
+		if inst != avoid && c.admit(req, inst) {
 			return true
 		}
 	}
@@ -565,14 +565,10 @@ func (c *Controller) shadowValidate(req *engine.Request, inst *engine.Instance) 
 // would trigger will block the candidate instance (§VII-B's early scale-up
 // is not free: Figure 17's costs stall iterations).
 func (c *Controller) prospectiveResizeBlock(req *engine.Request, inst *engine.Instance) sim.Duration {
-	if c.isStaticInstance(inst) || inst.ResizeInFlight {
+	if !c.dynamicMemory(len(inst.NodeIdxs)) || inst.ResizeInFlight {
 		return 0
 	}
-	est := c.estimators[inst.Model.Name]
-	states := append(inst.AppendKVReqStates(c.kvStateScratch[:0]),
-		kvcache.ReqState{InputLen: req.W.InputLen})
-	c.kvStateScratch = states[:0]
-	require := est.RequireBytes(inst.Model, states, len(inst.NodeIdxs))
+	require := c.mrequire(inst.Model, inst, req)
 	cur := inst.Cache.CapacityBytes()
 	if !c.Cfg.Watermark.NeedScaleUp(require, cur) {
 		return 0

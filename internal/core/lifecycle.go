@@ -122,24 +122,90 @@ func (c *Controller) completeRequest(req *engine.Request, inst *engine.Instance)
 	c.retryPending()
 }
 
+// ---- Memory sizing (§VII) ----------------------------------------------------
+
+// dynamicMemory is the static/dynamic predicate over an instance's host
+// node count: a single-node instance under DynamicMemory scales its KV
+// through memctl resizes (§VII-B); every other instance (the sllm
+// baselines, TP fallback models) takes its whole memory share at creation
+// and keeps it until teardown.
+func (c *Controller) dynamicMemory(nodes int) bool {
+	return c.Cfg.DynamicMemory && nodes == 1
+}
+
+// mrequire is Eq. 2's per-node Mrequire: the KV demand of inst's admitted
+// requests plus, when req is non-nil, a candidate's prompt. A nil inst
+// sizes a fresh single-node instance of m.
+func (c *Controller) mrequire(m model.Model, inst *engine.Instance, req *engine.Request) int64 {
+	states, div := c.kvStateScratch[:0], 1
+	if inst != nil {
+		states, div = inst.AppendKVReqStates(states), len(inst.NodeIdxs)
+	}
+	if req != nil {
+		states = append(states, kvcache.ReqState{InputLen: req.W.InputLen})
+	}
+	c.kvStateScratch = states[:0]
+	return c.estimators[m.Name].RequireBytes(m, states, div)
+}
+
+// memPlan is what creating an instance charges each host node, and the KV
+// capacity the instance starts with.
+type memPlan struct {
+	weights int64   // weights shard plus activation reserve
+	kv      int64   // KV bytes charged to the node ledger
+	kvCap   int64   // starting KV capacity
+	penalty float64 // decode slowdown fraction (NEO+)
+}
+
+// creationPlan sizes a new instance of m over nodes host nodes of spec at
+// share, admitting req first. A dynamic instance's KV starts at the
+// watermark recommendation for req. A static instance takes its memory
+// share; NEO+'s host-DRAM extension and decode penalty apply to it alone,
+// since a dynamic instance's KV is a resize-owned allocation in node
+// memory. ok is false when the share cannot hold req's prompt plus 1024
+// tokens of KV: the nodes can never host the instance.
+func (c *Controller) creationPlan(m model.Model, spec hwsim.NodeSpec, nodes int, share float64, req *engine.Request) (p memPlan, ok bool) {
+	p.weights = m.WeightBytes()/int64(nodes) + hwsim.ActivationReserve
+	if c.dynamicMemory(nodes) {
+		p.kv = c.Cfg.Watermark.Recommend(c.mrequire(m, nil, req))
+		p.kvCap = p.kv
+		return p, true
+	}
+	p.kv = memShare(spec, share) - p.weights
+	p.kvCap = p.kv + c.Cfg.NEOExtraKVBytes
+	p.penalty = c.Cfg.NEODecodePenalty
+	minKV := int64(req.W.InputLen+1024) * m.KVBytesPerToken() / int64(nodes)
+	return p, p.kv >= minKV
+}
+
+// memShare is a static instance's per-node allocation: its share of the
+// node's memory, which creation charges and teardown releases.
+func memShare(spec hwsim.NodeSpec, share float64) int64 {
+	return int64(float64(spec.MemBytes) * share)
+}
+
+// creationBytes returns the per-node memory a new single-node instance
+// needs at creation: the plan's weights plus KV charge. Negative means the
+// node can never host it.
+func (c *Controller) creationBytes(m model.Model, n *cluster.Node, share float64, req *engine.Request) int64 {
+	p, ok := c.creationPlan(m, n.Spec, 1, share, req)
+	if !ok {
+		return -1
+	}
+	return p.weights + p.kv
+}
+
 // ---- Memory subsystem integration ------------------------------------------
 
 // ensureMemoryFor performs the shadow memory check of §V and issues the
 // early scale-up of §VII-B (with the §VII-D compromise) for admitting req
 // into inst. Static-memory instances just check residual KV capacity.
 func (c *Controller) ensureMemoryFor(req *engine.Request, inst *engine.Instance) bool {
-	needTokens := int64(req.W.InputLen) + 1
-	if c.isStaticInstance(inst) {
-		return inst.Cache.FitsTokens(needTokens)
+	if !c.dynamicMemory(len(inst.NodeIdxs)) {
+		return inst.Cache.FitsTokens(int64(req.W.InputLen) + 1)
 	}
-	est := c.estimators[inst.Model.Name]
-	states := append(inst.AppendKVReqStates(c.kvStateScratch[:0]),
-		kvcache.ReqState{InputLen: req.W.InputLen})
-	c.kvStateScratch = states[:0]
-	div := len(inst.NodeIdxs)
-	require := est.RequireBytes(inst.Model, states, div)
-	cur := inst.Cache.CapacityBytes()
-	if !c.Cfg.Watermark.NeedScaleUp(require, cur) {
+	require := c.mrequire(inst.Model, inst, req)
+	if !c.Cfg.Watermark.NeedScaleUp(require, inst.Cache.CapacityBytes()) {
 		return true
 	}
 	if inst.ResizeInFlight {
@@ -152,7 +218,7 @@ func (c *Controller) ensureMemoryFor(req *engine.Request, inst *engine.Instance)
 			return true
 		}
 		promptNeed := inst.Cache.UsedBytes() +
-			(int64(req.W.InputLen)+65)*inst.Model.KVBytesPerToken()/int64(div)
+			(int64(req.W.InputLen)+65)*inst.Model.KVBytesPerToken()/int64(len(inst.NodeIdxs))
 		if inst.KVTarget < promptNeed {
 			return false
 		}
@@ -163,12 +229,14 @@ func (c *Controller) ensureMemoryFor(req *engine.Request, inst *engine.Instance)
 		}
 		return true
 	}
-	recommend := c.Cfg.Watermark.Recommend(require)
-	if c.issueResize(inst, recommend) {
-		return true
-	}
-	// §VII-D compromise: accept with just Mrequire.
-	return c.issueResize(inst, require)
+	return c.scaleUp(inst, require)
+}
+
+// scaleUp is §VII-B's early scale-up: grow to the watermark
+// recommendation, or — the §VII-D compromise — to just Mrequire when the
+// node cannot fit the recommendation.
+func (c *Controller) scaleUp(inst *engine.Instance, require int64) bool {
+	return c.issueResize(inst, c.Cfg.Watermark.Recommend(require)) || c.issueResize(inst, require)
 }
 
 // issueResize submits one KV resize through the hazard-aware orchestrator.
@@ -235,42 +303,33 @@ func (c *Controller) finishResize(inst *engine.Instance, target int64, dur sim.D
 // recheckKV applies the watermark policy against current demand: early
 // scale-up when short, lazy scale-down when far over (§VII-B).
 func (c *Controller) recheckKV(inst *engine.Instance) {
-	if c.isStaticInstance(inst) || inst.ResizeInFlight {
+	if !c.dynamicMemory(len(inst.NodeIdxs)) || inst.ResizeInFlight || inst.State != engine.Active {
 		return
 	}
-	if inst.State != engine.Active {
-		return
-	}
-	est := c.estimators[inst.Model.Name]
-	states := inst.AppendKVReqStates(c.kvStateScratch[:0])
-	c.kvStateScratch = states[:0]
-	require := est.RequireBytes(inst.Model, states, len(inst.NodeIdxs))
+	require := c.mrequire(inst.Model, inst, nil)
 	cur := inst.Cache.CapacityBytes()
 	switch {
 	case c.Cfg.Watermark.NeedScaleUp(require, cur):
-		if !c.issueResize(inst, c.Cfg.Watermark.Recommend(require)) {
-			c.issueResize(inst, require)
-		}
+		c.scaleUp(inst, require)
 	case c.Cfg.Watermark.ShouldScaleDown(require, cur):
 		c.issueResize(inst, c.Cfg.Watermark.Recommend(require))
 	}
 }
 
 // handleUnderestimation implements §VII-D: try to grow the cache again; if
-// the node cannot fit it, evict the request with the longest headroom and
-// reschedule it elsewhere.
+// the node cannot fit it (or the instance holds a fixed allocation), evict
+// the request with the longest headroom and reschedule it elsewhere.
 func (c *Controller) handleUnderestimation(inst *engine.Instance) {
 	if inst.ResizeInFlight {
 		return // a resize is already on its way
 	}
-	// Grow by 25% of current (at least one request's worth).
-	target := inst.Cache.CapacityBytes() + inst.Cache.CapacityBytes()/4
-	minGrow := inst.Cache.UsedBytes() + 2048*inst.Model.KVBytesPerToken()
-	if target < minGrow {
-		target = minGrow
-	}
-	if c.issueResize(inst, target) {
-		return
+	if c.dynamicMemory(len(inst.NodeIdxs)) {
+		// Grow by 25% of current (at least one request's worth).
+		target := inst.Cache.CapacityBytes() + inst.Cache.CapacityBytes()/4
+		minGrow := inst.Cache.UsedBytes() + 2048*inst.Model.KVBytesPerToken()
+		if c.issueResize(inst, max(target, minGrow)) {
+			return
+		}
 	}
 	// Evict the longest-headroom request.
 	var victim *engine.Request
@@ -306,58 +365,29 @@ func (c *Controller) migrate(req *engine.Request, from *engine.Instance) {
 	req.Migrations++
 	c.Collector.Migrations++
 	c.emit(Event{Kind: telemetry.KindPreempt, Req: req, Inst: from, A: int64(req.Migrations)})
-	if !c.tryPlaceAvoiding(req, from) {
+	// Re-place off the originating instance and without preemption (avoids
+	// ping-pong).
+	m := c.models[req.W.ModelName]
+	if !c.tryExisting(req, m, from) && !c.Cfg.Placement.PlaceNew(c.host, req, m) {
 		c.enqueue(req)
 	}
 }
 
-// tryPlaceAvoiding is tryPlace minus the originating instance and minus
-// recursion into preemption (avoids ping-pong).
-func (c *Controller) tryPlaceAvoiding(req *engine.Request, avoid *engine.Instance) bool {
-	m := c.models[req.W.ModelName]
-	for _, inst := range c.routeCandidates(m, wantRole(c.Cfg)) {
-		if inst == avoid {
-			continue
-		}
-		if c.admit(req, inst) {
-			return true
-		}
-	}
-	return c.Cfg.Placement.PlaceNew(c.host, req, m)
-}
-
 // ---- Instance lifecycle ------------------------------------------------------
-
-// isStaticInstance reports whether the instance's memory was allocated
-// whole at creation (exclusive/static baselines and TP fallback models).
-func (c *Controller) isStaticInstance(inst *engine.Instance) bool {
-	return !c.Cfg.DynamicMemory || len(inst.NodeIdxs) > 1
-}
-
-// creationBytes returns the per-node memory a new instance needs at
-// creation: weights + activation reserve + its initial KV allocation.
-// Negative means the node can never host it.
-func (c *Controller) creationBytes(m model.Model, n *cluster.Node, share float64, req *engine.Request) int64 {
-	weights := m.WeightBytes() + hwsim.ActivationReserve
-	if c.Cfg.DynamicMemory {
-		est := c.estimators[m.Name]
-		kv := c.Cfg.Watermark.Recommend(est.RequireBytes(m,
-			[]kvcache.ReqState{{InputLen: req.W.InputLen}}, 1))
-		return weights + kv
-	}
-	// Static memory: the instance takes its whole share.
-	memShare := int64(float64(n.Spec.MemBytes) * share)
-	kv := memShare - weights
-	minKV := int64(req.W.InputLen+1024) * m.KVBytesPerToken()
-	if kv < minKV {
-		return -1
-	}
-	return memShare
-}
 
 // createInstance builds the instance, carves its executor, and issues the
 // cold-start load. Returns nil when memory admission fails.
-func (c *Controller) createInstance(m model.Model, nodes []*cluster.Node, share float64, first *engine.Request) *engine.Instance {
+func (c *Controller) createInstance(m model.Model, nodes []*cluster.Node, share float64, req *engine.Request) *engine.Instance {
+	plan, ok := c.creationPlan(m, nodes[0].Spec, len(nodes), share, req)
+	if !ok {
+		return nil
+	}
+	// Admission across all host nodes first (all-or-nothing).
+	for _, n := range nodes {
+		if !n.Mem.CanAdmit(plan.weights + plan.kv) {
+			return nil
+		}
+	}
 	inst := c.takeInstance()
 	for _, n := range nodes {
 		inst.NodeIdxs = append(inst.NodeIdxs, n.Idx)
@@ -373,45 +403,15 @@ func (c *Controller) createInstance(m model.Model, nodes []*cluster.Node, share 
 	inst.Role = wantRole(c.Cfg)
 	inst.CreatedAt = c.Sim.Now()
 	c.nextInstID++
-	inst.DecodePenalty = c.Cfg.NEODecodePenalty
+	inst.DecodePenalty = plan.penalty
 
-	// Per-node allocations.
-	div := int64(len(nodes))
-	weights := m.WeightBytes()/div + hwsim.ActivationReserve
-	dynamicKV := c.Cfg.DynamicMemory && len(nodes) == 1
-	var kvInit int64
-	if dynamicKV {
-		est := c.estimators[m.Name]
-		states := c.kvStateScratch[:0]
-		if first != nil {
-			states = append(states, kvcache.ReqState{InputLen: first.W.InputLen})
-		}
-		kvInit = c.Cfg.Watermark.Recommend(est.RequireBytes(m, states, 1))
-		c.kvStateScratch = states[:0]
-	} else {
-		memShare := int64(float64(nodes[0].Spec.MemBytes) * share)
-		kvInit = memShare - weights + c.Cfg.NEOExtraKVBytes
-		if kvInit <= 0 {
-			return nil
-		}
-	}
-
-	// Admission across all host nodes first (all-or-nothing). Offloaded
-	// NEO KV lives in host DRAM, not node memory.
-	kvCharge := kvInit - c.Cfg.NEOExtraKVBytes
-	for _, n := range nodes {
-		if !n.Mem.CanAdmit(weights + kvCharge) {
-			return nil
-		}
-	}
-
-	// Weights load; under dynamic memory the KV allocation is a separate
-	// resize op so later admissions see a truthful ledger.
-	loadTo := weights
-	staticKV := int64(0)
-	if !dynamicKV {
-		loadTo += kvCharge
-		staticKV = kvInit
+	// Weights load; a dynamic instance's KV allocation is a separate
+	// resize op so later admissions see a truthful ledger, while a static
+	// instance loads its whole share at once.
+	dynamic := c.dynamicMemory(len(nodes))
+	loadTo, staticKV := plan.weights+plan.kv, plan.kvCap
+	if dynamic {
+		loadTo, staticKV = plan.weights, 0
 	}
 	loadDur := nodes[0].Spec.LoadTime(m)
 	c.loadETA[inst.ID] = c.Sim.Now().Add(loadDur)
@@ -447,8 +447,8 @@ func (c *Controller) createInstance(m model.Model, nodes []*cluster.Node, share 
 	c.instances[m.Name] = append(c.instances[m.Name], inst)
 	c.Collector.ColdStarts++
 	c.emit(Event{Kind: telemetry.KindInstanceUp, Inst: inst})
-	if dynamicKV && kvInit > 0 {
-		c.issueResize(inst, kvInit)
+	if dynamic && plan.kv > 0 {
+		c.issueResize(inst, plan.kv)
 	}
 	return inst
 }
@@ -532,32 +532,24 @@ func (c *Controller) removeInstance(inst *engine.Instance, countLifetime bool) {
 			break
 		}
 	}
-	// Release memory per node. Static instances unload their whole
-	// allocation (weights + activation + resident KV) under the weights
-	// owner, mirroring the combined load at creation. Dynamic-memory
-	// instances allocated their KV under a separate ledger owner (creation
-	// resize), so the teardown releases it under that same owner — the
-	// per-allocation ledger stays conserved (bytes unloaded under an owner
-	// match the bytes loaded under it), which the invariant suite checks.
-	// Both releases ride the same unload window, so the node's byte
-	// timeline is unchanged.
-	div := int64(len(inst.NodeIdxs))
-	weights := inst.Model.WeightBytes()/div + hwsim.ActivationReserve
-	kv := max(inst.Cache.CapacityBytes()-c.Cfg.NEOExtraKVBytes, 0)
-	dynamicKV := !c.isStaticInstance(inst)
-	unloadFrom := weights + kv
-	if dynamicKV {
-		unloadFrom = weights
+	// Release per node exactly what creation charged. A static instance
+	// unloads its whole share under the weights owner, mirroring the
+	// combined load. A dynamic instance unloads its weights and releases
+	// its current KV capacity under the KV owner the creation resize
+	// allocated, so bytes out under each owner match bytes in, which the
+	// invariant suite checks. Both releases ride the same unload window, so
+	// the node's byte timeline is unchanged. The teardown is one batched
+	// ledger step per node: the ledger (and its conservation observer) sees
+	// a single coherent burst rather than interleaved calls.
+	unloadFrom, kv := memShare(c.specOf(inst), inst.Share), int64(0)
+	if c.dynamicMemory(len(inst.NodeIdxs)) {
+		unloadFrom, kv = inst.WeightBytesOnNode()+hwsim.ActivationReserve, inst.Cache.CapacityBytes()
 	}
-	// The per-node teardown is a batched ledger step: the KV release and the
-	// weights unload stage into the node's step batch and apply in one
-	// Commit, so the ledger (and its conservation observer) sees the
-	// teardown as a single coherent burst rather than interleaved calls.
 	for _, idx := range inst.NodeIdxs {
 		node := c.Cluster.Nodes[idx]
 		dur := node.Spec.UnloadTime(inst.Model)
 		b := node.Mem.StepBatch()
-		if dynamicKV && kv > 0 {
+		if kv > 0 {
 			b.Demand(memctl.ResizeKV, inst.KVOwner(), kv, 0, dur, nil)
 		}
 		b.Demand(memctl.UnloadWeights, inst.WeightsOwner(), unloadFrom, 0, dur, func() {

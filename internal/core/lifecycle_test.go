@@ -4,11 +4,14 @@ import (
 	"testing"
 	"testing/quick"
 
+	"slinfer/internal/cluster"
+	"slinfer/internal/engine"
 	"slinfer/internal/hwsim"
 	"slinfer/internal/kvcache"
 	"slinfer/internal/model"
 	"slinfer/internal/policy"
 	"slinfer/internal/sim"
+	"slinfer/internal/slo"
 	"slinfer/internal/workload"
 )
 
@@ -259,6 +262,39 @@ func TestNEOPlusExtendsKVCapacityAndPenalizesDecode(t *testing.T) {
 	}
 	if sllmPen != 0 || neoPen <= 0 {
 		t.Fatalf("decode penalties wrong: sllm %v, neo %v", sllmPen, neoPen)
+	}
+}
+
+// TestCreationBytesMatchesSpawnCharge pins the §VII creation plan's two
+// readers together: for every preset, node kind and model size, the bytes
+// the node-feasibility gate reads (creationBytes) are exactly what a spawn
+// charges the node ledger, an infeasible plan spawns nothing, and the
+// instance's teardown releases the whole charge.
+func TestCreationBytesMatchesSpawnCharge(t *testing.T) {
+	for _, cfg := range []Config{SLINFER(), Sllm(), SllmC(), SllmCS(), NEOPlus(16)} {
+		for _, specs := range [][]hwsim.NodeSpec{hwsim.Testbed(1, 0), hwsim.Testbed(0, 1)} {
+			for _, m := range []model.Model{model.Llama32_3B, model.Llama2_7B, model.Llama2_13B} {
+				c := New(sim.New(), specs, []model.Model{m}, cfg)
+				n := c.Cluster.Nodes[0]
+				share := c.Cfg.Placement.Share(m, n.Spec.Class)
+				req := engine.NewRequestWith(workload.Request{ID: 1, ModelName: m.Name, InputLen: 1024, OutputLen: 64}, slo.Default(1024))
+				want := c.creationBytes(m, n, share, req)
+				spawned := c.host.Spawn(m, []*cluster.Node{n}, share, req)
+				got := n.Mem.OptimisticUsed()
+				if want < 0 {
+					want = 0
+				}
+				if spawned != (want > 0) || got != want {
+					t.Errorf("%s on %s, %s: creationBytes %d, spawned=%v charging %d",
+						cfg.Name, n.Spec.Name, m.Name, want, spawned, got)
+				}
+				c.Sim.Run() // serve the request, then reclaim the idle instance
+				if left := n.Mem.OptimisticUsed(); left != 0 {
+					t.Errorf("%s on %s, %s: %d bytes still charged after teardown",
+						cfg.Name, n.Spec.Name, m.Name, left)
+				}
+			}
+		}
 	}
 }
 

@@ -13,7 +13,9 @@
 //     equals the allocation's tracked size — bytes in == bytes out), at
 //     most one op is in flight per allocation, physical usage never
 //     exceeds the pessimistic bound, and the pessimistic bound never
-//     exceeds capacity.
+//     exceeds capacity. At end of run, every allocation of a torn-down
+//     instance is empty or has its release in flight (teardown releases
+//     what creation charged).
 //   - KV-cache accounting: token releases never exceed live tokens
 //     (kvcache.CacheObserver), and on every completion the cache's live
 //     token count equals the sum of the running batch's context tokens.
@@ -38,6 +40,7 @@ package invariants
 
 import (
 	"fmt"
+	"sort"
 
 	"slinfer/internal/core"
 	"slinfer/internal/engine"
@@ -84,6 +87,12 @@ type Suite struct {
 	submitted int64
 	completed int64
 	droppedRq int64
+
+	// ledgers are the watched node ledgers in WatchNode order, and
+	// downOwners the allocations of torn-down instances; RunFinished checks
+	// that each one was released.
+	ledgers    []*ledger
+	downOwners []string
 
 	// tier is the watched prefix store (nil unless WatchTier was called);
 	// RunFinished reconciles its ledger against the block lists.
@@ -226,12 +235,14 @@ type ledger struct {
 // operation: the checker reconstructs per-allocation sizes purely from the
 // op stream, so ops it never saw would read as conservation breaches.
 func (s *Suite) WatchNode(nm *memctl.NodeMemory) {
-	nm.Observer = &ledger{
+	l := &ledger{
 		suite:    s,
 		nm:       nm,
 		sizes:    map[string]int64{},
 		admitted: map[string]*memctl.Op{},
 	}
+	nm.Observer = l
+	s.ledgers = append(s.ledgers, l)
 }
 
 func (l *ledger) check(format string, args ...any) {
@@ -314,6 +325,24 @@ func (l *ledger) OpCanceled(_ *memctl.NodeMemory, op *memctl.Op) {
 	l.shadowOpt -= op.To - op.From
 	delete(l.admitted, op.Owner)
 	l.compare("cancel")
+}
+
+// checkReleases reports, in sorted owner then node order, every allocation
+// of a torn-down instance that will still hold bytes once its in-flight op
+// lands: the teardown failed to release what creation charged.
+func (s *Suite) checkReleases() {
+	sort.Strings(s.downOwners)
+	for _, owner := range s.downOwners {
+		for _, l := range s.ledgers {
+			held := l.sizes[owner]
+			if op := l.admitted[owner]; op != nil {
+				held = op.To
+			}
+			if held != 0 {
+				l.check("%s still holds %d bytes after its instance was torn down (bytes leaked)", owner, held)
+			}
+		}
+	}
 }
 
 // ---- KV-cache accounting ------------------------------------------------------
@@ -471,6 +500,7 @@ func (s *Suite) Observe(ev core.Event) {
 			s.report("kv-accounting",
 				"inst%d unloading with %d live KV tokens", inst.ID, got)
 		}
+		s.downOwners = append(s.downOwners, inst.WeightsOwner(), inst.KVOwner())
 	}
 }
 
@@ -525,4 +555,5 @@ func (s *Suite) RunFinished(_ *core.Controller, rep metrics.Report) {
 			len(rep.TTFTCDF), rep.Completed)
 	}
 	s.checkTierResidency()
+	s.checkReleases()
 }

@@ -9,6 +9,7 @@ import (
 	"slinfer/internal/hwsim"
 	"slinfer/internal/kvcache"
 	"slinfer/internal/memctl"
+	"slinfer/internal/metrics"
 	"slinfer/internal/model"
 	"slinfer/internal/sim"
 	"slinfer/internal/telemetry"
@@ -50,6 +51,54 @@ func TestCleanRunHasNoViolations(t *testing.T) {
 					suite.submitted, suite.completed)
 			}
 		})
+	}
+}
+
+// TestNEOMagnitudesOnDynamicMemoryConserve runs SLINFER carrying NEO+'s
+// two magnitudes. They apply to whole-allocation instances only, so every
+// dynamic-memory teardown releases exactly what its creation charged: the
+// run is clean and every node ledger drains to zero once all instances are
+// reclaimed.
+func TestNEOMagnitudesOnDynamicMemoryConserve(t *testing.T) {
+	for _, extra := range []int64{1e8, 8e9} {
+		cfg := core.SLINFER()
+		cfg.NEOExtraKVBytes, cfg.NEODecodePenalty = extra, 0.05
+		suite := runWithSuite(t, cfg)
+		if err := suite.Err(); err != nil {
+			t.Fatalf("NEO extra %d: %v\nall: %v", extra, err, suite.Violations())
+		}
+		for _, l := range suite.ledgers {
+			if opt, pess := l.nm.OptimisticUsed(), l.nm.PessimisticUsed(); opt != 0 || pess != 0 {
+				t.Errorf("NEO extra %d: %s still charges %d optimistic / %d pessimistic bytes after every instance was reclaimed",
+					extra, l.nm.Name(), opt, pess)
+			}
+		}
+	}
+}
+
+// TestReleaseCheckCatchesLeakedTeardown tears an instance down without
+// releasing its weights and requires the end-of-run release check to flag
+// the allocation; a release in flight at run end is legal.
+func TestReleaseCheckCatchesLeakedTeardown(t *testing.T) {
+	for _, release := range []bool{false, true} {
+		s := sim.New()
+		nm := memctl.New(s, "node0", 1000)
+		suite := New(s)
+		suite.WatchNode(nm)
+		nm.Demand(&memctl.Op{Kind: memctl.LoadWeights, Owner: "inst1/weights", From: 0, To: 400})
+		inst := &engine.Instance{ID: 1, Model: model.Llama2_7B, Cache: kvcache.NewCache(model.Llama2_7B, 1)}
+		suite.Observe(core.Event{Kind: telemetry.KindInstanceDown, Inst: inst})
+		if release {
+			nm.Demand(&memctl.Op{Kind: memctl.UnloadWeights, Owner: "inst1/weights", From: 400, To: 0, Duration: sim.Second})
+		}
+		suite.RunFinished(nil, metrics.Report{})
+		got := suite.Violations()
+		if release && len(got) != 0 {
+			t.Fatalf("release in flight flagged: %v", got)
+		}
+		if !release && (len(got) != 1 || !strings.Contains(got[0].Detail, "inst1/weights still holds 400 bytes")) {
+			t.Fatalf("leaked teardown not caught: %v", got)
+		}
 	}
 }
 
