@@ -1,8 +1,6 @@
 package metrics
 
 import (
-	"sort"
-
 	"slinfer/internal/hwsim"
 	"slinfer/internal/sim"
 )
@@ -10,31 +8,23 @@ import (
 // MergeReports folds per-shard reports of one fleet run into a single
 // aggregate report. The inputs are never mutated.
 //
-// Counters sum. Everything derived from a sample set the report actually
-// carries is exact: the TTFT percentiles, TTFT/batch/memory CDFs, and the
-// per-kind memory means are recomputed from the concatenation of the
-// shards' sorted sample buffers, so the merged percentiles equal the
-// percentiles of the pooled samples (pinned by TestMergeReportsPercentiles).
-// Node usage sums (each shard owns disjoint nodes) and decode speed is the
-// activity-weighted mean — exact, because active node-seconds reconstruct
-// from AvgNodesUsed x duration. The remaining means merge exactly from the
-// totals every report carries: AvgBatch weights by DecodeIters (correct
-// even past the BatchCDF cap), MeanKVUtil by KVSamples, ScalingOverhead
-// recomputes from summed ScalingBusy/InstanceLifetime, and the prefix-cache
-// hit rate from summed hit/miss bytes (all pinned by
-// TestMergeReportsExactTotals). Wall-clock overheads (ValidationMS,
-// ScheduleUS) measure host time and are not merged, matching their
-// exclusion from Canonical.
+// Counters, durations and batch histograms add; TTFT and memory samples
+// concatenate; then derive recomputes every rate, percentile and mean
+// exactly as BuildReport would for one collector that saw everything
+// (pinned by TestMergeReportsPercentiles and TestMergeReportsExactTotals).
+// Node usage sums (shards own disjoint nodes), decode speed is the
+// activity-weighted mean, and MeanKVUtil weights by KVSamples. Wall-clock
+// overheads (ValidationMS, ScheduleUS) measure host time and are not
+// merged, matching their exclusion from Canonical.
 func MergeReports(system string, duration sim.Duration, reports ...Report) Report {
 	r := Report{
 		System: system, Duration: duration,
 		AvgNodesUsed: map[hwsim.Kind]float64{},
 		DecodeSpeed:  map[hwsim.Kind]float64{},
 		MemUtilCDF:   map[hwsim.Kind][]float64{},
-		MeanMemUtil:  map[hwsim.Kind]float64{},
 	}
 	decodeAct := map[hwsim.Kind]float64{} // active node-seconds per kind
-	var batchSum, kvSum float64
+	var kvSum float64
 	for _, in := range reports {
 		r.Total += in.Total
 		r.Completed += in.Completed
@@ -48,7 +38,12 @@ func MergeReports(system string, duration sim.Duration, reports ...Report) Repor
 		r.KVResizes += in.KVResizes
 
 		r.TTFTCDF = append(r.TTFTCDF, in.TTFTCDF...)
-		r.BatchCDF = append(r.BatchCDF, in.BatchCDF...)
+		if extra := len(in.batchHist) - len(r.batchHist); extra > 0 {
+			r.batchHist = append(r.batchHist, make([]int64, extra)...)
+		}
+		for b, n := range in.batchHist {
+			r.batchHist[b] += n
+		}
 		for kind, nodes := range in.AvgNodesUsed {
 			r.AvgNodesUsed[kind] += nodes
 			act := nodes * in.Duration.Seconds()
@@ -58,8 +53,6 @@ func MergeReports(system string, duration sim.Duration, reports ...Report) Repor
 		for kind, cdf := range in.MemUtilCDF {
 			r.MemUtilCDF[kind] = append(r.MemUtilCDF[kind], cdf...)
 		}
-		batchSum += in.AvgBatch * float64(in.DecodeIters)
-		r.DecodeIters += in.DecodeIters
 		kvSum += in.MeanKVUtil * float64(in.KVSamples)
 		r.KVSamples += in.KVSamples
 		r.ScalingBusy += in.ScalingBusy
@@ -75,17 +68,6 @@ func MergeReports(system string, duration sim.Duration, reports ...Report) Repor
 		r.Redriven += in.Redriven
 		r.RetryExhausted += in.RetryExhausted
 	}
-	if r.Total > 0 {
-		r.SLORate = float64(r.Met) / float64(r.Total)
-	}
-	sort.Float64s(r.TTFTCDF)
-	r.TTFTP50 = percentile(r.TTFTCDF, 0.50)
-	r.TTFTP95 = percentile(r.TTFTCDF, 0.95)
-	r.TTFTP99 = percentile(r.TTFTCDF, 0.99)
-	sort.Ints(r.BatchCDF)
-	if r.DecodeIters > 0 {
-		r.AvgBatch = batchSum / float64(r.DecodeIters)
-	}
 	for kind, act := range decodeAct {
 		if act > 0 {
 			r.DecodeSpeed[kind] /= act
@@ -93,21 +75,9 @@ func MergeReports(system string, duration sim.Duration, reports ...Report) Repor
 			delete(r.DecodeSpeed, kind)
 		}
 	}
-	for kind, cdf := range r.MemUtilCDF {
-		sort.Float64s(cdf)
-		r.MeanMemUtil[kind] = mean(cdf)
-	}
 	if r.KVSamples > 0 {
 		r.MeanKVUtil = kvSum / float64(r.KVSamples)
 	}
-	if r.InstanceLifetime > 0 {
-		r.ScalingOverhead = r.ScalingBusy.Seconds() / r.InstanceLifetime.Seconds()
-	}
-	if r.Completed > 0 {
-		r.MigrationRate = float64(r.Migrations) / float64(r.Completed)
-	}
-	if tot := r.PrefixHitBytes + r.PrefixMissBytes; tot > 0 {
-		r.PrefixHitRate = float64(r.PrefixHitBytes) / float64(tot)
-	}
+	r.derive()
 	return r
 }

@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"slinfer/internal/hwsim"
@@ -90,11 +91,11 @@ func TestMergeReportsDoesNotMutateInputs(t *testing.T) {
 	}
 }
 
-// TestMergeReportsExactTotals pins the satellite contract: AvgBatch,
-// MeanKVUtil, ScalingOverhead, and the prefix hit rate merge from the exact
-// totals each report carries — equal (to float rounding) to one collector
-// having seen everything, even when a shard's BatchCDF is truncated at its
-// 200000-sample cap.
+// TestMergeReportsExactTotals pins the merge contract: the batch
+// histogram, AvgBatch, MeanKVUtil, ScalingOverhead, and the prefix hit rate
+// merge from the exact totals each report carries — equal (to float
+// rounding) to one collector having seen everything, with more iterations
+// than any sample cap would keep.
 func TestMergeReportsExactTotals(t *testing.T) {
 	build := func(name string, decodes []int, kv []float64, busy, life sim.Duration, prefix [][2]int64) Report {
 		c := NewCollector()
@@ -111,23 +112,26 @@ func TestMergeReportsExactTotals(t *testing.T) {
 		return c.BuildReport(name, 10*sim.Second)
 	}
 
-	// Shard a blows past the CDF cap: 200001 iterations of batch 2 plus one
-	// of batch 8 — len(BatchCDF) stops at 200000, DecodeIters does not.
-	decodesA := make([]int, 0, 200002)
+	// Shard a: 200001 iterations of batch 2 plus 100000 of batch 8. Its
+	// P90 sits among the 8s; a copy keeping only the smallest 200000
+	// samples would report 2.
+	decodesA := make([]int, 0, 300001)
 	for i := 0; i < 200001; i++ {
 		decodesA = append(decodesA, 2)
 	}
-	decodesA = append(decodesA, 8)
+	for i := 0; i < 100000; i++ {
+		decodesA = append(decodesA, 8)
+	}
 	a := build("a", decodesA, []float64{0.5, 0.7}, 2*sim.Second, 10*sim.Second,
 		[][2]int64{{100, 50}, {0, 30}})
 	b := build("b", []int{4, 4, 4, 4}, []float64{0.1}, sim.Second, 30*sim.Second,
 		[][2]int64{{200, 0}})
 
-	if len(a.BatchCDF) != 200000 {
-		t.Fatalf("shard a BatchCDF len = %d, want capped 200000", len(a.BatchCDF))
+	if got, ref := a.BatchPercentile(0.9), bruteBatchPercentile(decodesA, 0.9); got != 8 || got != ref {
+		t.Fatalf("shard a batch P90 = %d, want 8 (brute force %d)", got, ref)
 	}
-	if a.DecodeIters != 200002 {
-		t.Fatalf("shard a DecodeIters = %d, want 200002", a.DecodeIters)
+	if a.DecodeIters != 300001 {
+		t.Fatalf("shard a DecodeIters = %d, want 300001", a.DecodeIters)
 	}
 
 	merged := MergeReports("fleet", 10*sim.Second, a, b)
@@ -141,7 +145,6 @@ func TestMergeReportsExactTotals(t *testing.T) {
 		field    string
 		got, ref float64
 	}{
-		{"avgbatch", merged.AvgBatch, want.AvgBatch},
 		{"kvutil", merged.MeanKVUtil, want.MeanKVUtil},
 		{"scaling", merged.ScalingOverhead, want.ScalingOverhead},
 		{"prefixrate", merged.PrefixHitRate, want.PrefixHitRate},
@@ -149,6 +152,12 @@ func TestMergeReportsExactTotals(t *testing.T) {
 		if math.Abs(tc.got-tc.ref) > 1e-12 {
 			t.Errorf("%s: merged %v != pooled %v", tc.field, tc.got, tc.ref)
 		}
+	}
+	if !slices.Equal(trimHist(merged.batchHist), trimHist(want.batchHist)) {
+		t.Errorf("merged histogram %v, want %v", merged.batchHist, want.batchHist)
+	}
+	if merged.AvgBatch != want.AvgBatch {
+		t.Errorf("avgbatch: merged %v != pooled %v", merged.AvgBatch, want.AvgBatch)
 	}
 	if merged.DecodeIters != want.DecodeIters || merged.KVSamples != want.KVSamples {
 		t.Errorf("totals: iters=%d kv=%d, want %d, %d",

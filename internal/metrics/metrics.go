@@ -8,7 +8,9 @@ package metrics
 import (
 	"fmt"
 	"hash/fnv"
+	"maps"
 	"sort"
+	"strconv"
 	"strings"
 
 	"slinfer/internal/hwsim"
@@ -84,13 +86,9 @@ func NewCollector() *Collector {
 // Reset returns the collector to the state of a fresh NewCollector so a
 // long-lived worker can reuse it across runs.
 //
-// Buffers whose backing arrays escape into the previous run's Report are
-// DISOWNED, not truncated: BuildReport aliases TTFTs and the MemUtil slices
-// into Report.TTFTCDF / Report.MemUtilCDF, so reusing those arrays would
-// mutate an already-returned report. Buffers that BuildReport only summarizes
-// (KVUtil feeds a mean; batchHist is materialized into a fresh BatchCDF) keep
-// their storage. When adding a sample buffer to Collector, decide which side
-// of this split it is on and update both BuildReport's doc and this method.
+// BuildReport aliases TTFTs and the MemUtil slices into the report, so
+// those are disowned; KVUtil (summarized) and batchHist (copied) keep their
+// storage and are cleared in place.
 func (c *Collector) Reset() {
 	c.Total, c.Completed, c.Met, c.Dropped = 0, 0, 0, 0
 	c.TTFTs = nil // aliased by Report.TTFTCDF — disown
@@ -100,9 +98,7 @@ func (c *Collector) Reset() {
 	clear(c.nodeActive)
 	clear(c.MemUtil) // slices aliased by Report.MemUtilCDF — disown, keep map
 	c.KVUtil = c.KVUtil[:0]
-	for i := range c.batchHist {
-		c.batchHist[i] = 0
-	}
+	clear(c.batchHist)
 	c.ColdStarts, c.Reclaims, c.Preemptions = 0, 0, 0
 	c.Migrations, c.Evictions, c.KVResizes = 0, 0, 0
 	c.ScalingBusy, c.InstanceLifetime = 0, 0
@@ -230,13 +226,13 @@ type Report struct {
 	// DecodeSpeed is decode tokens per (node x second) per kind.
 	DecodeSpeed map[hwsim.Kind]float64
 
-	// AvgBatch is the iteration-weighted mean decode batch size.
-	AvgBatch float64
-	// BatchCDF is the sorted batch-size sample distribution, capped at
-	// 200000 samples; DecodeIters is the exact uncapped iteration count
-	// (the weight that merges AvgBatch exactly).
-	BatchCDF    []int
+	// AvgBatch is the iteration-weighted mean decode batch size over
+	// DecodeIters decode iterations, both derived from batchHist.
+	AvgBatch    float64
 	DecodeIters int64
+	// batchHist counts decode iterations by batch size (the index); read
+	// it through BatchPercentile.
+	batchHist []int64
 
 	// MemUtilCDF per kind, sorted ascending.
 	MemUtilCDF map[hwsim.Kind][]float64
@@ -289,31 +285,27 @@ type Report struct {
 
 // BuildReport derives the summary for a run of the given duration.
 //
-// BuildReport finalizes the collector: the report's CDF slices alias the
-// collector's sample buffers (sorted in place — zero copies) instead of
-// duplicating them, and all percentiles come from that single in-place
-// sort. Call it once, after recording is done; the collector's TTFTs and
-// MemUtil slices are in sorted order afterwards.
+// BuildReport finalizes the collector: the report's TTFT and memory CDFs
+// alias the collector's sample buffers, sorted in place, instead of
+// duplicating them. Call it once, after recording is done.
 func (c *Collector) BuildReport(system string, duration sim.Duration) Report {
 	r := Report{
 		System: system, Duration: duration,
 		Total: c.Total, Completed: c.Completed, Met: c.Met, Dropped: c.Dropped,
+		TTFTCDF:      c.TTFTs,
 		AvgNodesUsed: map[hwsim.Kind]float64{},
 		DecodeSpeed:  map[hwsim.Kind]float64{},
-		MemUtilCDF:   map[hwsim.Kind][]float64{},
-		MeanMemUtil:  map[hwsim.Kind]float64{},
-		ColdStarts:   c.ColdStarts, Reclaims: c.Reclaims,
+		batchHist:    append([]int64(nil), c.batchHist...),
+		MemUtilCDF:   maps.Clone(c.MemUtil),
+		MeanKVUtil:   mean(c.KVUtil),
+		KVSamples:    int64(len(c.KVUtil)),
+		ScalingBusy:  c.ScalingBusy, InstanceLifetime: c.InstanceLifetime,
+		ColdStarts: c.ColdStarts, Reclaims: c.Reclaims,
 		Preemptions: c.Preemptions, Migrations: c.Migrations,
 		Evictions: c.Evictions, KVResizes: c.KVResizes,
+		PrefixLookups: c.PrefixLookups, PrefixHits: c.PrefixHits,
+		PrefixHitBytes: c.PrefixHitBytes, PrefixMissBytes: c.PrefixMissBytes,
 	}
-	if c.Total > 0 {
-		r.SLORate = float64(c.Met) / float64(c.Total)
-	}
-	sort.Float64s(c.TTFTs)
-	r.TTFTCDF = c.TTFTs
-	r.TTFTP50 = percentile(r.TTFTCDF, 0.50)
-	r.TTFTP95 = percentile(r.TTFTCDF, 0.95)
-	r.TTFTP99 = percentile(r.TTFTCDF, 0.99)
 
 	// Node usage and decode speed.
 	activeByKind := map[hwsim.Kind]sim.Duration{}
@@ -328,57 +320,67 @@ func (c *Collector) BuildReport(system string, duration sim.Duration) Report {
 			r.DecodeSpeed[kind] = float64(c.DecodeTokens[kind]) / act.Seconds()
 		}
 	}
-
-	var batchSum, batchN int64
-	for b, n := range c.batchHist {
-		batchSum += int64(b) * n
-		batchN += n
-	}
-	if cdfLen := batchN; cdfLen > 0 {
-		if cdfLen > 200000 {
-			cdfLen = 200000
-		}
-		r.BatchCDF = make([]int, 0, cdfLen)
-		// The histogram is indexed by batch size, so this materializes the
-		// CDF already sorted (and truncation, if ever hit, is deterministic).
-		for b, n := range c.batchHist {
-			for k := int64(0); k < n && len(r.BatchCDF) < 200000; k++ {
-				r.BatchCDF = append(r.BatchCDF, b)
-			}
-		}
-	}
-	if batchN > 0 {
-		r.AvgBatch = float64(batchSum) / float64(batchN)
-	}
-	r.DecodeIters = batchN
-
-	for kind, samples := range c.MemUtil {
-		sort.Float64s(samples)
-		r.MemUtilCDF[kind] = samples
-		r.MeanMemUtil[kind] = mean(samples)
-	}
-	r.MeanKVUtil = mean(c.KVUtil)
-	r.KVSamples = int64(len(c.KVUtil))
-
-	r.ScalingBusy, r.InstanceLifetime = c.ScalingBusy, c.InstanceLifetime
-	if c.InstanceLifetime > 0 {
-		r.ScalingOverhead = c.ScalingBusy.Seconds() / c.InstanceLifetime.Seconds()
-	}
-	if c.Completed > 0 {
-		r.MigrationRate = float64(c.Migrations) / float64(c.Completed)
-	}
-	r.PrefixLookups, r.PrefixHits = c.PrefixLookups, c.PrefixHits
-	r.PrefixHitBytes, r.PrefixMissBytes = c.PrefixHitBytes, c.PrefixMissBytes
-	if tot := c.PrefixHitBytes + c.PrefixMissBytes; tot > 0 {
-		r.PrefixHitRate = float64(c.PrefixHitBytes) / float64(tot)
-	}
 	if c.ValidationCount > 0 {
 		r.ValidationMS = float64(c.ValidationNs) / float64(c.ValidationCount) / 1e6
 	}
 	if c.ScheduleCount > 0 {
 		r.ScheduleUS = float64(c.ScheduleNs) / float64(c.ScheduleCount) / 1e3
 	}
+	r.derive()
 	return r
+}
+
+// derive computes everything that follows from the report's totals, sample
+// sets and batch histogram: the rates, the TTFT percentiles, the decode
+// iteration count and mean batch, and the per-kind memory means. It sorts
+// TTFTCDF and MemUtilCDF in place. BuildReport and MergeReports both end
+// with it, so a single run and a merged fleet derive identically.
+func (r *Report) derive() {
+	if r.Total > 0 {
+		r.SLORate = float64(r.Met) / float64(r.Total)
+	}
+	sort.Float64s(r.TTFTCDF)
+	r.TTFTP50 = percentile(r.TTFTCDF, 0.50)
+	r.TTFTP95 = percentile(r.TTFTCDF, 0.95)
+	r.TTFTP99 = percentile(r.TTFTCDF, 0.99)
+
+	var batchSum int64
+	for b, n := range r.batchHist {
+		batchSum += int64(b) * n
+		r.DecodeIters += n
+	}
+	if r.DecodeIters > 0 {
+		r.AvgBatch = float64(batchSum) / float64(r.DecodeIters)
+	}
+
+	r.MeanMemUtil = map[hwsim.Kind]float64{}
+	for kind, cdf := range r.MemUtilCDF {
+		sort.Float64s(cdf)
+		r.MeanMemUtil[kind] = mean(cdf)
+	}
+	if r.InstanceLifetime > 0 {
+		r.ScalingOverhead = r.ScalingBusy.Seconds() / r.InstanceLifetime.Seconds()
+	}
+	if r.Completed > 0 {
+		r.MigrationRate = float64(r.Migrations) / float64(r.Completed)
+	}
+	if tot := r.PrefixHitBytes + r.PrefixMissBytes; tot > 0 {
+		r.PrefixHitRate = float64(r.PrefixHitBytes) / float64(tot)
+	}
+}
+
+// BatchPercentile returns the p-quantile (p in [0, 1]) of the decode batch
+// sizes, one sample per iteration, at the floor rank int(p*(n-1)). It is 0
+// when the run decoded nothing.
+func (r Report) BatchPercentile(p float64) int {
+	rank := int64(p * float64(r.DecodeIters-1))
+	for b, n := range r.batchHist {
+		if rank < n {
+			return b
+		}
+		rank -= n
+	}
+	return 0
 }
 
 // percentile returns the p-quantile (p in [0, 1]) of an ascending sample
@@ -433,7 +435,7 @@ func (r Report) Canonical() string {
 	for _, k := range sortedKinds(r.DecodeSpeed) {
 		p("decode[%v]=%.9f\n", k, r.DecodeSpeed[k])
 	}
-	p("avgbatch=%.9f batchcdf n=%d hash=%x\n", r.AvgBatch, len(r.BatchCDF), hashInts(r.BatchCDF))
+	p("avgbatch=%.9f batchcdf n=%d hash=%x\n", r.AvgBatch, r.DecodeIters, hashHist(r.batchHist))
 	for _, k := range sortedKinds(r.MeanMemUtil) {
 		p("memutil[%v]=%.9f cdf n=%d hash=%x\n", k, r.MeanMemUtil[k],
 			len(r.MemUtilCDF[k]), hashFloats(r.MemUtilCDF[k]))
@@ -473,10 +475,15 @@ func hashFloats(vs []float64) uint64 {
 	return h.Sum64()
 }
 
-func hashInts(vs []int) uint64 {
+// hashHist hashes a batch histogram as its expanded ascending sample
+// sequence, rendered "%d," per sample.
+func hashHist(hist []int64) uint64 {
 	h := fnv.New64a()
-	for _, v := range vs {
-		fmt.Fprintf(h, "%d,", v)
+	for b, n := range hist {
+		sample := []byte(strconv.Itoa(b) + ",")
+		for ; n > 0; n-- {
+			h.Write(sample)
+		}
 	}
 	return h.Sum64()
 }

@@ -447,15 +447,15 @@ func HottestModel(tr Trace) string {
 // positive lengths, unique IDs.
 func (tr Trace) Validate() error {
 	seen := make(map[int64]bool, len(tr.Requests))
-	var prev sim.Time = -1
+	var prev sim.Time
 	for i, r := range tr.Requests {
+		if r.Arrival < 0 || sim.Duration(r.Arrival) >= tr.Duration {
+			return fmt.Errorf("request %d: arrival %v outside [0, %v)", i, r.Arrival, tr.Duration)
+		}
 		if r.Arrival < prev {
 			return fmt.Errorf("request %d: arrivals not sorted", i)
 		}
 		prev = r.Arrival
-		if r.Arrival < 0 || sim.Duration(r.Arrival) >= tr.Duration {
-			return fmt.Errorf("request %d: arrival %v outside [0, %v)", i, r.Arrival, tr.Duration)
-		}
 		if r.InputLen < 1 || r.OutputLen < 1 {
 			return fmt.Errorf("request %d: non-positive lengths", i)
 		}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -212,6 +213,34 @@ func TestGenerateAlwaysValidProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestValidateRejects checks that each malformed trace is reported by the
+// rule it breaks; a negative first arrival is out of range, not unsorted.
+func TestValidateRejects(t *testing.T) {
+	req := func(id int64, at sim.Time) Request {
+		return Request{ID: id, ModelName: "m", Arrival: at, InputLen: 4, OutputLen: 4}
+	}
+	for _, tc := range []struct {
+		name string
+		reqs []Request
+		want string // error substring; empty means valid
+	}{
+		{"valid", []Request{req(0, 0), req(1, 5), req(2, 5)}, ""},
+		{"negative-first-arrival", []Request{req(0, -5), req(1, 2)}, "outside [0, 60.000000s)"},
+		{"arrival-at-duration", []Request{req(0, 60)}, "outside [0, 60.000000s)"},
+		{"unsorted", []Request{req(0, 5), req(1, 2)}, "request 1: arrivals not sorted"},
+		{"zero-length", []Request{{ID: 0, ModelName: "m", Arrival: 1, InputLen: 0, OutputLen: 4}}, "non-positive lengths"},
+		{"duplicate-id", []Request{req(7, 1), req(7, 2)}, "duplicate ID 7"},
+	} {
+		err := Trace{Requests: tc.reqs, Duration: sim.Minute}.Validate()
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%s: unexpected error %v", tc.name, err)
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+			t.Errorf("%s: error %v, want it to contain %q", tc.name, err, tc.want)
+		}
 	}
 }
 
