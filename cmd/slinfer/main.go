@@ -63,6 +63,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"runtime"
 	"strings"
@@ -116,15 +117,7 @@ func main() {
 		telem = telemetry.New(opts)
 	}
 
-	pcache := kvcache.TieredConfig{
-		Enabled:     *prefix,
-		GPUBytes:    *prefixGPU << 20,
-		CPUBytes:    *prefixCPU << 20,
-		BlockTokens: *prefixBlock,
-	}
-	if *prefixCPU < 0 {
-		pcache.CPUBytes = -1 // negative MiB: no host tier at all
-	}
+	pcache := prefixConfig(*prefix, *prefixGPU, *prefixCPU, *prefixBlock)
 
 	if *shards > 1 {
 		runFleet(fleetOptions{
@@ -258,6 +251,17 @@ func validateFlags() {
 			bad("-%s sizes the prefix store; it needs -prefix", name)
 		}
 	}
+	sized := true
+	for _, name := range []string{"prefix-gpu-mb", "prefix-cpu-mb"} {
+		if v := get(name).(int64); v > math.MaxInt64>>20 || v < math.MinInt64>>20 {
+			bad("-%s %d MiB overflows a byte count", name, v)
+			sized = false
+		}
+	}
+	pcache := prefixConfig(get("prefix").(bool), get("prefix-gpu-mb").(int64), get("prefix-cpu-mb").(int64), get("prefix-block").(int))
+	if err := pcache.Validate(); sized && err != nil {
+		bad("%v", err)
+	}
 	for _, name := range []string{"timeline", "series", "flightrec"} {
 		if set[name] && get("trace").(string) == "" {
 			bad("-%s records a replay; it needs -trace", name)
@@ -277,6 +281,21 @@ func validateFlags() {
 	fmt.Fprintln(os.Stderr)
 	flag.Usage()
 	os.Exit(2)
+}
+
+// prefixConfig builds the prefix store's config from the -prefix flags:
+// sizes in MiB, zero for the defaults, a negative host tier for none.
+func prefixConfig(enabled bool, gpuMB, cpuMB int64, block int) kvcache.TieredConfig {
+	cfg := kvcache.TieredConfig{
+		Enabled:     enabled,
+		GPUBytes:    gpuMB << 20,
+		CPUBytes:    cpuMB << 20,
+		BlockTokens: block,
+	}
+	if cpuMB < 0 {
+		cfg.CPUBytes = -1 // negative MiB: no host tier at all
+	}
+	return cfg
 }
 
 // fleetOptions carries the fleet-replay parameters from flag parsing.

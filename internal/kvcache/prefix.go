@@ -15,6 +15,7 @@ package kvcache
 
 import (
 	"fmt"
+	"math"
 
 	"slinfer/internal/sim"
 )
@@ -56,8 +57,9 @@ type TieredConfig struct {
 	Enabled bool
 	// GPUBytes caps the GPU-resident tier.
 	GPUBytes int64
-	// CPUBytes caps the host spill tier; zero means spilled blocks are
-	// freed immediately (no second tier).
+	// CPUBytes caps the host spill tier; zero means the default (4x the
+	// GPU tier), negative means no host tier: spilled blocks are freed
+	// immediately.
 	CPUBytes int64
 	// BlockTokens is the sharing granularity (default DefaultBlockTokens).
 	BlockTokens int
@@ -83,19 +85,19 @@ func (c TieredConfig) WithDefaults() TieredConfig {
 	return c
 }
 
-// Validate rejects nonsense tier configurations.
+// Validate rejects tier sizes WithDefaults cannot make sense of: a
+// negative GPU tier or block size. Zero fields mean the defaults and a
+// negative CPU tier means no host tier, so a config validates both before
+// and after WithDefaults.
 func (c TieredConfig) Validate() error {
 	if !c.Enabled {
 		return nil
 	}
-	if c.GPUBytes <= 0 {
-		return fmt.Errorf("kvcache: prefix GPU tier %d bytes, want > 0", c.GPUBytes)
+	if c.GPUBytes < 0 {
+		return fmt.Errorf("kvcache: prefix GPU tier %d bytes, want >= 0 (0 = default)", c.GPUBytes)
 	}
-	if c.CPUBytes < 0 {
-		return fmt.Errorf("kvcache: prefix CPU tier %d bytes, want >= 0", c.CPUBytes)
-	}
-	if c.BlockTokens <= 0 {
-		return fmt.Errorf("kvcache: prefix block %d tokens, want > 0", c.BlockTokens)
+	if c.BlockTokens < 0 {
+		return fmt.Errorf("kvcache: prefix block %d tokens, want >= 0 (0 = default)", c.BlockTokens)
 	}
 	return nil
 }
@@ -168,67 +170,114 @@ const (
 	tierCPU = int8(1)
 )
 
-// tierBlock is one resident token block. Blocks live in the hash index and
-// on exactly one tier's intrusive LRU list; evicted blocks recycle through
-// the store's free list.
+// noBlock is the nil slab index: list ends, an empty free list.
+const noBlock = int32(-1)
+
+// maxPresizeBlocks caps the slab and index capacity the first Insert
+// reserves for a full store, so huge tiers do not allocate up front; past
+// it the slab and index grow by doubling.
+const maxPresizeBlocks = 1 << 12
+
+// tierBlock is one resident token block. Blocks live by value in the
+// store's slab and link by slab index, so the slab holds no pointers and
+// the GC never scans it. A live block sits in the hash index and on exactly
+// one tier's intrusive LRU list; evicted slots recycle through the free
+// list, chained by next.
 type tierBlock struct {
 	hash       uint64
 	bytes      int64
+	root       int32 // interned leading PrefixKey segment, for residency accounting
+	prev, next int32 // LRU neighbours, noBlock at the list ends
 	tier       int8
-	root       string // leading PrefixKey segment, for residency accounting
-	prev, next *tierBlock
 }
 
-// tierList is an intrusive doubly-linked LRU list: front is most recently
-// used, eviction candidates come off the back.
+// tierList is an intrusive doubly-linked LRU list over the slab: front is
+// most recently used, eviction candidates come off the back.
 type tierList struct {
-	front, back *tierBlock
+	front, back int32
 	bytes       int64
 }
 
+var emptyList = tierList{front: noBlock, back: noBlock}
+
 //slinfer:hotpath
-func (l *tierList) pushFront(b *tierBlock) {
-	b.prev = nil
+func (l *tierList) pushFront(slab []tierBlock, i int32) {
+	b := &slab[i]
+	b.prev = noBlock
 	b.next = l.front
-	if l.front != nil {
-		l.front.prev = b
+	if l.front != noBlock {
+		slab[l.front].prev = i
 	}
-	l.front = b
-	if l.back == nil {
-		l.back = b
+	l.front = i
+	if l.back == noBlock {
+		l.back = i
 	}
 	l.bytes += b.bytes
 }
 
 //slinfer:hotpath
-func (l *tierList) remove(b *tierBlock) {
-	if b.prev != nil {
-		b.prev.next = b.next
+func (l *tierList) remove(slab []tierBlock, i int32) {
+	b := &slab[i]
+	if b.prev != noBlock {
+		slab[b.prev].next = b.next
 	} else {
 		l.front = b.next
 	}
-	if b.next != nil {
-		b.next.prev = b.prev
+	if b.next != noBlock {
+		slab[b.next].prev = b.prev
 	} else {
 		l.back = b.prev
 	}
-	b.prev, b.next = nil, nil
+	b.prev, b.next = noBlock, noBlock
 	l.bytes -= b.bytes
 }
+
+// moveToFront marks block i most recently used.
+//
+//slinfer:hotpath
+func (l *tierList) moveToFront(slab []tierBlock, i int32) {
+	if l.front != i {
+		l.remove(slab, i)
+		l.pushFront(slab, i)
+	}
+}
+
+// indexSlot is one entry of the open-addressed block index. The high 32
+// bits hold the top of the block's mixed hash (chain hash times the
+// Fibonacci constant), from which the home slot follows; the low 32 bits
+// hold the slab index plus one, so the zero slot is empty and clear()
+// empties the table. A tag match is confirmed against the slab's full hash.
+type indexSlot uint64
+
+// fibMix is 2^64 divided by the golden ratio: multiplying by it spreads
+// chain hashes over the top bits, which pick the home slot.
+const fibMix = 0x9E3779B97F4A7C15
 
 // TieredStore is the controller-wide prefix pool: a deterministic block-hash
 // index over two capacity-bounded LRU tiers. It is pure accounting plus a
 // transfer cost model — simulated time advances only through the durations
 // it returns.
 type TieredStore struct {
-	cfg    TieredConfig
-	blocks map[uint64]*tierBlock
-	gpu    tierList
-	cpu    tierList
-	// rootBytes tracks resident bytes per leading PrefixKey segment; fleet
-	// snapshots consume it for KV-affinity routing.
-	rootBytes map[string]int64
-	free      *tierBlock // recycled blocks, reused before allocating
+	cfg  TieredConfig
+	slab []tierBlock // every block, live or free; addressed by int32 index
+	free int32       // head of the recycled-slot list
+	gpu  tierList
+	cpu  tierList
+
+	// index maps a block's chain hash to its slab index: linear probing
+	// from a Fibonacci-hashed home slot, at most half full, with
+	// backward-shift deletion so no tombstones build up under churn.
+	index      []indexSlot
+	indexShift uint8 // 64 - log2(len(index))
+	indexUsed  int
+
+	// Leading PrefixKey segments are interned once per Insert: rootIDs
+	// maps a root to its id, which indexes roots and rootBytes. rootBytes
+	// tracks resident bytes per root; fleet snapshots consume it for
+	// KV-affinity routing.
+	rootIDs   map[string]int32
+	roots     []string
+	rootBytes []int64
 
 	// Ledger is the store's transition accounting. Read-only for callers;
 	// tests may corrupt it deliberately to prove the conservation checker
@@ -245,22 +294,29 @@ type TieredStore struct {
 
 // NewTieredStore returns an empty store for the given (defaulted) config.
 func NewTieredStore(cfg TieredConfig) *TieredStore {
-	cfg = cfg.WithDefaults()
-	return &TieredStore{
-		cfg:       cfg,
-		blocks:    make(map[uint64]*tierBlock),
-		rootBytes: make(map[string]int64),
-	}
+	s := new(TieredStore)
+	s.Reset(cfg)
+	return s
 }
 
 // Reset reinitializes a recycled store in place, equivalent to
-// NewTieredStore(cfg). Resident blocks from the previous run are dropped.
+// NewTieredStore(cfg). Resident blocks from the previous run are dropped;
+// the slab, index and root table keep their capacity.
 func (s *TieredStore) Reset(cfg TieredConfig) {
-	cfg = cfg.WithDefaults()
+	clear(s.index)
+	clear(s.rootIDs)
+	clear(s.roots) // drop the previous run's key strings
 	*s = TieredStore{
-		cfg:       cfg,
-		blocks:    make(map[uint64]*tierBlock),
-		rootBytes: make(map[string]int64),
+		cfg:        cfg.WithDefaults(),
+		slab:       s.slab[:0],
+		free:       noBlock,
+		gpu:        emptyList,
+		cpu:        emptyList,
+		index:      s.index,
+		indexShift: s.indexShift,
+		rootIDs:    s.rootIDs,
+		roots:      s.roots[:0],
+		rootBytes:  s.rootBytes[:0],
 	}
 }
 
@@ -286,11 +342,11 @@ func (s *TieredStore) BlockTokens() int { return s.cfg.BlockTokens }
 // TierUsage recomputes the resident bytes per tier by walking the block
 // lists — the ground truth the ledger is reconciled against.
 func (s *TieredStore) TierUsage() (gpuBytes, cpuBytes int64) {
-	for b := s.gpu.front; b != nil; b = b.next {
-		gpuBytes += b.bytes
+	for b := s.gpu.front; b != noBlock; b = s.slab[b].next {
+		gpuBytes += s.slab[b].bytes
 	}
-	for b := s.cpu.front; b != nil; b = b.next {
-		cpuBytes += b.bytes
+	for b := s.cpu.front; b != noBlock; b = s.slab[b].next {
+		cpuBytes += s.slab[b].bytes
 	}
 	return gpuBytes, cpuBytes
 }
@@ -317,15 +373,14 @@ type RootResidency struct {
 // sorted by root for determinism, and returns the extended slice.
 func (s *TieredStore) AppendResidency(dst []RootResidency) []RootResidency {
 	start := len(dst)
-	//slinfer:maporder collected tail is insertion-sorted by root below before anyone reads it
-	for root, bytes := range s.rootBytes {
+	for id, bytes := range s.rootBytes {
 		if bytes > 0 {
-			dst = append(dst, RootResidency{Root: root, Bytes: bytes})
+			dst = append(dst, RootResidency{Root: s.roots[id], Bytes: bytes})
 		}
 	}
 	tail := dst[start:]
-	// Insertion sort: residency maps are small (a handful of templates and
-	// live sessions), and this avoids a sort.Slice closure allocation.
+	// Insertion sort: residency tables are small (a handful of templates
+	// and live sessions), and this avoids a sort.Slice closure allocation.
 	for i := 1; i < len(tail); i++ {
 		for j := i; j > 0 && tail[j].Root < tail[j-1].Root; j-- {
 			tail[j], tail[j-1] = tail[j-1], tail[j]
@@ -375,13 +430,15 @@ func chainStep(prev uint64, owner string, idx int) uint64 {
 	return h
 }
 
-// segmentOwner returns the PrefixKey prefix owning token index tok: segments
-// are '/'-separated, and a "@N" suffix pins a segment to its first N tokens;
-// the final segment owns the remainder. The returned string is a slice of
-// key — no allocation.
+// segmentSpan returns the PrefixKey prefix owning token index tok and the
+// first token index it no longer owns (math.MaxInt when it owns the rest):
+// segments are '/'-separated, a "@N" suffix pins a segment to its first N
+// tokens, and the final segment owns the remainder. Every token in
+// [tok, end) has the same owner, so a walk over a key's blocks reparses
+// only when it crosses end. The owner is a slice of key — no allocation.
 //
 //slinfer:hotpath
-func segmentOwner(key string, tok int) string {
+func segmentSpan(key string, tok int) (owner string, end int) {
 	start, covered := 0, 0
 	for start < len(key) {
 		end := start
@@ -397,13 +454,135 @@ func segmentOwner(key string, tok int) string {
 			}
 			end++
 		}
-		if tokens < 0 || tok < covered+tokens || end >= len(key) {
-			return key[:end]
+		if tokens < 0 || end >= len(key) {
+			return key[:end], math.MaxInt
+		}
+		if tok < covered+tokens {
+			return key[:end], covered + tokens
 		}
 		covered += tokens
 		start = end + 1
 	}
-	return key
+	return key, math.MaxInt
+}
+
+// indexHome is the home slot of a mixed hash's tag.
+//
+//slinfer:hotpath
+func (s *TieredStore) indexHome(tag uint64) int {
+	return int(tag >> (s.indexShift - 32))
+}
+
+// find returns the slab index of the block with chain hash h, or noBlock.
+//
+//slinfer:hotpath
+func (s *TieredStore) find(h uint64) int32 {
+	if s.indexUsed == 0 {
+		return noBlock
+	}
+	tag := (h * fibMix) >> 32
+	mask := len(s.index) - 1
+	for i := s.indexHome(tag); ; i = (i + 1) & mask {
+		e := s.index[i]
+		if e == 0 {
+			return noBlock
+		}
+		if uint64(e)>>32 == tag {
+			if b := int32(uint32(e)) - 1; s.slab[b].hash == h {
+				return b
+			}
+		}
+	}
+}
+
+// indexPut records block b under hash h, which must be absent, doubling
+// the table first if it would pass half full.
+//
+//slinfer:hotpath
+func (s *TieredStore) indexPut(h uint64, b int32) {
+	if 2*(s.indexUsed+1) > len(s.index) {
+		s.growIndex(2 * len(s.index))
+	}
+	s.place(indexSlot((h*fibMix)>>32<<32 | uint64(b+1)))
+}
+
+// place stores e in the first empty slot of its probe run.
+//
+//slinfer:hotpath
+func (s *TieredStore) place(e indexSlot) {
+	mask := len(s.index) - 1
+	i := s.indexHome(uint64(e) >> 32)
+	for s.index[i] != 0 {
+		i = (i + 1) & mask
+	}
+	s.index[i] = e
+	s.indexUsed++
+}
+
+// indexDel removes block b (chain hash h) from the index, shifting later
+// entries of its probe run back so every run stays gap-free.
+//
+//slinfer:hotpath
+func (s *TieredStore) indexDel(h uint64, b int32) {
+	mask := len(s.index) - 1
+	i := s.indexHome((h * fibMix) >> 32)
+	for uint32(s.index[i]) != uint32(b+1) {
+		i = (i + 1) & mask
+	}
+	for j := (i + 1) & mask; s.index[j] != 0; j = (j + 1) & mask {
+		// Entry j may fill the gap at i unless its home lies cyclically
+		// in (i, j], where the gap is not on its probe path.
+		k := s.indexHome(uint64(s.index[j]) >> 32)
+		if (i < j && (k <= i || k > j)) || (j < i && k <= i && k > j) {
+			s.index[i] = s.index[j]
+			i = j
+		}
+	}
+	s.index[i] = 0
+	s.indexUsed--
+}
+
+// growIndex rehashes the index into a table of at least slots slots (a
+// power of two, minimum 16).
+func (s *TieredStore) growIndex(slots int) {
+	size, shift := 16, uint8(60)
+	for size < slots {
+		size, shift = size*2, shift-1
+	}
+	old := s.index
+	s.index, s.indexShift, s.indexUsed = make([]indexSlot, size), shift, 0
+	for _, e := range old {
+		if e != 0 {
+			s.place(e)
+		}
+	}
+}
+
+// reserve sizes the slab and index for a full store of blockBytes blocks,
+// capped at maxPresizeBlocks.
+func (s *TieredStore) reserve(blockBytes int64) {
+	n := min(s.cfg.GPUBytes/blockBytes+s.cfg.CPUBytes/blockBytes, maxPresizeBlocks)
+	if int(n) > cap(s.slab) {
+		s.slab = make([]tierBlock, len(s.slab), n)
+	}
+	if 2*int(n) > len(s.index) {
+		s.growIndex(2 * int(n))
+	}
+}
+
+// internRoot returns root's id, registering it on first sight.
+func (s *TieredStore) internRoot(root string) int32 {
+	if id, ok := s.rootIDs[root]; ok {
+		return id
+	}
+	if s.rootIDs == nil {
+		s.rootIDs = make(map[string]int32)
+	}
+	id := int32(len(s.roots))
+	s.rootIDs[root] = id
+	s.roots = append(s.roots, root)
+	s.rootBytes = append(s.rootBytes, 0)
+	return id
 }
 
 // Lookup walks the leading full blocks of a request's prompt through the
@@ -420,19 +599,22 @@ func (s *TieredStore) Lookup(modelName, key string, inputTokens int, kvBytesPerT
 	bt := s.cfg.BlockTokens
 	nBlocks := inputTokens / bt
 	h := fnvString(fnvOffset64, modelName)
+	owner, end := "", 0
 	var promoted int64
 	for i := 0; i < nBlocks; i++ {
-		h = chainStep(h, segmentOwner(key, i*bt), i)
-		b, ok := s.blocks[h]
-		if !ok {
+		if tok := i * bt; tok >= end {
+			owner, end = segmentSpan(key, tok)
+		}
+		h = chainStep(h, owner, i)
+		b := s.find(h)
+		if b == noBlock {
 			break
 		}
-		if b.tier == tierCPU {
-			promoted += b.bytes
+		if s.slab[b].tier == tierCPU {
+			promoted += s.slab[b].bytes
 			s.promote(b)
 		} else {
-			s.gpu.remove(b)
-			s.gpu.pushFront(b)
+			s.gpu.moveToFront(s.slab, b)
 		}
 		hitTokens += bt
 	}
@@ -450,25 +632,25 @@ func (s *TieredStore) Lookup(modelName, key string, inputTokens int, kvBytesPerT
 	return hitTokens, PromoteTime(promoted)
 }
 
-// promote moves a CPU-tier block back into the GPU tier, spilling the GPU
+// promote moves CPU-tier block b back into the GPU tier, spilling the GPU
 // tail to make room. If the block cannot fit even after spilling everything
 // else, it stays resident in the CPU tier (served over PCIe in place).
 //
 //slinfer:hotpath
-func (s *TieredStore) promote(b *tierBlock) {
-	if b.bytes > s.cfg.GPUBytes {
-		s.cpu.remove(b)
-		s.cpu.pushFront(b)
+func (s *TieredStore) promote(b int32) {
+	bytes := s.slab[b].bytes
+	if bytes > s.cfg.GPUBytes {
+		s.cpu.moveToFront(s.slab, b)
 		return
 	}
-	s.cpu.remove(b)
-	s.Ledger.CPUBytes -= b.bytes
-	s.makeGPURoom(b.bytes)
-	b.tier = tierGPU
-	s.gpu.pushFront(b)
-	s.Ledger.GPUBytes += b.bytes
+	s.cpu.remove(s.slab, b)
+	s.Ledger.CPUBytes -= bytes
+	s.makeGPURoom(bytes)
+	s.slab[b].tier = tierGPU
+	s.gpu.pushFront(s.slab, b)
+	s.Ledger.GPUBytes += bytes
 	if s.Trace != nil {
-		s.Trace.TierPromoted(b.bytes)
+		s.Trace.TierPromoted(bytes)
 	}
 }
 
@@ -477,19 +659,20 @@ func (s *TieredStore) promote(b *tierBlock) {
 //
 //slinfer:hotpath
 func (s *TieredStore) makeGPURoom(need int64) {
-	for s.gpu.bytes+need > s.cfg.GPUBytes && s.gpu.back != nil {
+	for s.gpu.bytes+need > s.cfg.GPUBytes && s.gpu.back != noBlock {
 		victim := s.gpu.back
-		s.gpu.remove(victim)
-		s.Ledger.GPUBytes -= victim.bytes
-		if s.cfg.CPUBytes > 0 && victim.bytes <= s.cfg.CPUBytes {
-			s.makeCPURoom(victim.bytes)
-			victim.tier = tierCPU
-			s.cpu.pushFront(victim)
-			s.Ledger.CPUBytes += victim.bytes
+		bytes := s.slab[victim].bytes
+		s.gpu.remove(s.slab, victim)
+		s.Ledger.GPUBytes -= bytes
+		if s.cfg.CPUBytes > 0 && bytes <= s.cfg.CPUBytes {
+			s.makeCPURoom(bytes)
+			s.slab[victim].tier = tierCPU
+			s.cpu.pushFront(s.slab, victim)
+			s.Ledger.CPUBytes += bytes
 			s.Ledger.Spills++
-			s.Ledger.SpillBytes += victim.bytes
+			s.Ledger.SpillBytes += bytes
 			if s.Trace != nil {
-				s.Trace.TierSpilled(victim.bytes)
+				s.Trace.TierSpilled(bytes)
 			}
 		} else {
 			s.freeBlock(victim)
@@ -501,26 +684,27 @@ func (s *TieredStore) makeGPURoom(need int64) {
 //
 //slinfer:hotpath
 func (s *TieredStore) makeCPURoom(need int64) {
-	for s.cpu.bytes+need > s.cfg.CPUBytes && s.cpu.back != nil {
+	for s.cpu.bytes+need > s.cfg.CPUBytes && s.cpu.back != noBlock {
 		victim := s.cpu.back
-		s.cpu.remove(victim)
-		s.Ledger.CPUBytes -= victim.bytes
+		s.cpu.remove(s.slab, victim)
+		s.Ledger.CPUBytes -= s.slab[victim].bytes
 		s.freeBlock(victim)
 	}
 }
 
-// freeBlock evicts a block out of the store entirely and recycles it.
+// freeBlock evicts block b out of the store entirely and recycles its slot.
 //
 //slinfer:hotpath
-func (s *TieredStore) freeBlock(b *tierBlock) {
-	s.Ledger.FreedBytes += b.bytes
+func (s *TieredStore) freeBlock(b int32) {
+	blk := &s.slab[b]
+	s.Ledger.FreedBytes += blk.bytes
 	s.Ledger.Evictions++
 	if s.Trace != nil {
-		s.Trace.TierEvicted(b.bytes)
+		s.Trace.TierEvicted(blk.bytes)
 	}
-	s.rootBytes[b.root] -= b.bytes
-	delete(s.blocks, b.hash)
-	*b = tierBlock{next: s.free}
+	s.rootBytes[blk.root] -= blk.bytes
+	s.indexDel(blk.hash, b)
+	blk.next = s.free
 	s.free = b
 }
 
@@ -536,19 +720,24 @@ func (s *TieredStore) Insert(modelName, key string, contextTokens int, kvBytesPe
 	bt := s.cfg.BlockTokens
 	nBlocks := contextTokens / bt
 	blockBytes := int64(bt) * kvBytesPerToken
-	root := PrefixRoot(key)
+	if len(s.index) == 0 {
+		s.reserve(blockBytes)
+	}
+	root := s.internRoot(PrefixRoot(key))
 	h := fnvString(fnvOffset64, modelName)
+	owner, end := "", 0
 	spilledBefore := s.Ledger.SpillBytes
 	for i := 0; i < nBlocks; i++ {
-		h = chainStep(h, segmentOwner(key, i*bt), i)
-		if b, ok := s.blocks[h]; ok {
+		if tok := i * bt; tok >= end {
+			owner, end = segmentSpan(key, tok)
+		}
+		h = chainStep(h, owner, i)
+		if b := s.find(h); b != noBlock {
 			// Refresh recency in place; resident tier is untouched.
-			if b.tier == tierGPU {
-				s.gpu.remove(b)
-				s.gpu.pushFront(b)
+			if s.slab[b].tier == tierGPU {
+				s.gpu.moveToFront(s.slab, b)
 			} else {
-				s.cpu.remove(b)
-				s.cpu.pushFront(b)
+				s.cpu.moveToFront(s.slab, b)
 			}
 			continue
 		}
@@ -557,15 +746,15 @@ func (s *TieredStore) Insert(modelName, key string, contextTokens int, kvBytesPe
 		}
 		s.makeGPURoom(blockBytes)
 		b := s.free
-		if b != nil {
-			s.free = b.next
-			*b = tierBlock{}
+		if b != noBlock {
+			s.free = s.slab[b].next
 		} else {
-			b = &tierBlock{}
+			b = int32(len(s.slab))
+			s.slab = append(s.slab, tierBlock{})
 		}
-		b.hash, b.bytes, b.tier, b.root = h, blockBytes, tierGPU, root
-		s.blocks[h] = b
-		s.gpu.pushFront(b)
+		s.slab[b] = tierBlock{hash: h, bytes: blockBytes, root: root, tier: tierGPU}
+		s.indexPut(h, b)
+		s.gpu.pushFront(s.slab, b)
 		s.Ledger.AllocatedBytes += blockBytes
 		s.Ledger.GPUBytes += blockBytes
 		s.Ledger.Inserts++

@@ -2,9 +2,13 @@ package kvcache
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
+
+	"slinfer/internal/sim"
 )
 
 func TestTransferTimeCalibration(t *testing.T) {
@@ -29,35 +33,69 @@ func TestTieredConfigDefaults(t *testing.T) {
 	if on.GPUBytes != 4<<30 || on.CPUBytes != 16<<30 || on.BlockTokens != DefaultBlockTokens {
 		t.Errorf("defaults = %+v", on)
 	}
-	if on.Validate() != nil {
-		t.Error("defaulted config should validate")
+	if got := (TieredConfig{Enabled: true, CPUBytes: -1}).WithDefaults().CPUBytes; got != 0 {
+		t.Errorf("negative host tier defaults to %d bytes, want 0 (no host tier)", got)
 	}
-	if (TieredConfig{Enabled: true, GPUBytes: -1}).Validate() == nil {
-		t.Error("negative GPU tier should fail validation")
+	cases := []struct {
+		cfg TieredConfig
+		ok  bool
+	}{
+		{TieredConfig{Enabled: true}, true}, // every size defaulted
+		{on, true},
+		{TieredConfig{Enabled: true, CPUBytes: -1}, true}, // no host tier
+		{TieredConfig{Enabled: true, GPUBytes: 1, CPUBytes: -1 << 20, BlockTokens: 8}, true},
+		{TieredConfig{GPUBytes: -1, BlockTokens: -3}, true}, // disabled: sizes unused
+		{TieredConfig{Enabled: true, GPUBytes: -1}, false},
+		{TieredConfig{Enabled: true, GPUBytes: -5 << 20, BlockTokens: -3}, false},
+		{TieredConfig{Enabled: true, GPUBytes: 1, BlockTokens: -3}, false},
+		{TieredConfig{Enabled: true, CPUBytes: -1, BlockTokens: -1}, false},
 	}
-	if (TieredConfig{Enabled: true, GPUBytes: 1, BlockTokens: -3}).Validate() == nil {
-		t.Error("negative block size should fail validation")
+	for _, c := range cases {
+		if err := c.cfg.Validate(); (err == nil) != c.ok {
+			t.Errorf("%+v: Validate() = %v, want ok=%v", c.cfg, err, c.ok)
+		}
+		if c.ok && c.cfg.WithDefaults().Validate() != nil {
+			t.Errorf("%+v: valid config fails validation once defaulted", c.cfg)
+		}
 	}
 }
 
 func TestSegmentOwner(t *testing.T) {
+	const open = math.MaxInt
 	cases := []struct {
 		key  string
 		tok  int
 		want string
+		end  int
 	}{
-		{"sess7", 0, "sess7"},
-		{"sess7", 9999, "sess7"},
-		{"tpl3@512/sess17", 0, "tpl3@512"},
-		{"tpl3@512/sess17", 511, "tpl3@512"},
-		{"tpl3@512/sess17", 512, "tpl3@512/sess17"},
-		{"tpl3@512/sess17", 4096, "tpl3@512/sess17"},
-		{"a@16/b@16/c", 20, "a@16/b@16"},
-		{"a@16/b@16/c", 32, "a@16/b@16/c"},
+		{"sess7", 0, "sess7", open},
+		{"sess7", 9999, "sess7", open},
+		{"tpl3@512/sess17", 0, "tpl3@512", 512},
+		{"tpl3@512/sess17", 511, "tpl3@512", 512},
+		{"tpl3@512/sess17", 512, "tpl3@512/sess17", open},
+		{"tpl3@512/sess17", 4096, "tpl3@512/sess17", open},
+		{"a@16/b@16/c", 20, "a@16/b@16", 32},
+		{"a@16/b@16/c", 32, "a@16/b@16/c", open},
+		{"a@16/b@16", 40, "a@16/b@16", open}, // the last segment owns the rest
 	}
 	for _, c := range cases {
-		if got := segmentOwner(c.key, c.tok); got != c.want {
-			t.Errorf("segmentOwner(%q, %d) = %q, want %q", c.key, c.tok, got, c.want)
+		if got, end := segmentSpan(c.key, c.tok); got != c.want || end != c.end {
+			t.Errorf("segmentSpan(%q, %d) = (%q, %d), want (%q, %d)", c.key, c.tok, got, end, c.want, c.end)
+		}
+	}
+	// Every token of a span has the span's owner, and the owner agrees
+	// with the strings.Split restatement.
+	for _, key := range []string{"sess7", "tpl3@40/sess17", "a@16/b@0/c@5/d", "x@/y", "a@16/", "a@16//b"} {
+		for tok := 0; tok < 80; tok++ {
+			owner, end := segmentSpan(key, tok)
+			if want := refOwner(key, tok); owner != want {
+				t.Fatalf("segmentSpan(%q, %d) owner %q, ref %q", key, tok, owner, want)
+			}
+			for u := tok; u < min(end, 80); u++ {
+				if got := refOwner(key, u); got != owner {
+					t.Fatalf("segmentSpan(%q, %d) = (%q, %d) but token %d is owned by %q", key, tok, owner, end, u, got)
+				}
+			}
 		}
 	}
 }
@@ -176,12 +214,13 @@ func TestTieredStoreResidency(t *testing.T) {
 	}
 }
 
-// --- Reference model for the property test ------------------------------
+// --- Reference model for the property and fuzz tests ---------------------
 //
 // refStore mirrors the tiered store with naive data structures: block
 // identities are explicit strings (the full (owner, index) chain), tiers
-// are ordered slices, and every LRU/spill/evict rule is restated
-// independently. Divergence on any operation is a bug in one of them.
+// are ordered slices, residency is a walk over both tiers, and every
+// LRU/spill/evict/promote rule is restated independently. Divergence on
+// any operation is a bug in one of them.
 
 type refBlock struct {
 	id    string
@@ -199,7 +238,7 @@ func newRefStore(cfg TieredConfig) *refStore {
 	return &refStore{cfg: cfg.WithDefaults()}
 }
 
-// refOwner restates segmentOwner with strings.Split.
+// refOwner restates segmentSpan's owner with strings.Split.
 func refOwner(key string, tok int) string {
 	segs := strings.Split(key, "/")
 	covered := 0
@@ -221,13 +260,10 @@ func refOwner(key string, tok int) string {
 	return key
 }
 
-func refID(modelName, key string, blockIdx, blockTokens int) string {
-	var sb strings.Builder
-	sb.WriteString(modelName)
-	for j := 0; j <= blockIdx; j++ {
-		fmt.Fprintf(&sb, "|%s#%d", refOwner(key, j*blockTokens), j)
-	}
-	return sb.String()
+// refID extends block i-1's identity (prev) to block i's: the model, then
+// every (owner, index) pair of the chain so far.
+func refID(prev, key string, i, blockTokens int) string {
+	return fmt.Sprintf("%s|%s#%d", prev, refOwner(key, i*blockTokens), i)
 }
 
 func (r *refStore) find(id string) (tier *[]refBlock, idx int) {
@@ -288,14 +324,16 @@ func (r *refStore) makeCPURoom(need int64) {
 	}
 }
 
-func (r *refStore) Lookup(modelName, key string, inputTokens int, kvb int64) (hitTokens int) {
+func (r *refStore) Lookup(modelName, key string, inputTokens int, kvb int64) (hitTokens int, xfer sim.Duration) {
 	if key == "" || inputTokens <= 0 {
-		return 0
+		return 0, 0
 	}
 	bt := r.cfg.BlockTokens
 	var promoted int64
+	id := modelName
 	for i := 0; i < inputTokens/bt; i++ {
-		tier, idx := r.find(refID(modelName, key, i, bt))
+		id = refID(id, key, i, bt)
+		tier, idx := r.find(id)
 		if tier == nil {
 			break
 		}
@@ -322,17 +360,19 @@ func (r *refStore) Lookup(modelName, key string, inputTokens int, kvb int64) (hi
 	r.ledger.HitBytes += int64(hitTokens) * kvb
 	r.ledger.MissBytes += int64(inputTokens-hitTokens) * kvb
 	r.ledger.CPUHitBytes += promoted
-	return hitTokens
+	return hitTokens, PromoteTime(promoted)
 }
 
-func (r *refStore) Insert(modelName, key string, contextTokens int, kvb int64) {
+func (r *refStore) Insert(modelName, key string, contextTokens int, kvb int64) sim.Duration {
 	if key == "" || contextTokens <= 0 {
-		return
+		return 0
 	}
 	bt := r.cfg.BlockTokens
 	blockBytes := int64(bt) * kvb
+	spilled := r.ledger.SpillBytes
+	id := modelName
 	for i := 0; i < contextTokens/bt; i++ {
-		id := refID(modelName, key, i, bt)
+		id = refID(id, key, i, bt)
 		if tier, idx := r.find(id); tier != nil {
 			b := remove(tier, idx)
 			pushFront(tier, b)
@@ -347,6 +387,100 @@ func (r *refStore) Insert(modelName, key string, contextTokens int, kvb int64) {
 		r.ledger.GPUBytes += blockBytes
 		r.ledger.Inserts++
 	}
+	return SpillTime(r.ledger.SpillBytes - spilled)
+}
+
+func (r *refStore) SetGPUCapacity(bytes int64) {
+	if bytes <= 0 || bytes == r.cfg.GPUBytes {
+		return
+	}
+	r.cfg.GPUBytes = bytes
+	r.makeGPURoom(0)
+}
+
+func (r *refStore) Reset(cfg TieredConfig) { *r = *newRefStore(cfg) }
+
+// residency sums resident bytes per root over both tiers, sorted by root.
+func (r *refStore) residency() []RootResidency {
+	var out []RootResidency
+	for _, tier := range [][]refBlock{r.gpu, r.cpu} {
+		for _, b := range tier {
+			i := slices.IndexFunc(out, func(e RootResidency) bool { return e.Root == b.root })
+			if i < 0 {
+				i = len(out)
+				out = append(out, RootResidency{Root: b.root})
+			}
+			out[i].Bytes += b.bytes
+		}
+	}
+	slices.SortFunc(out, func(a, b RootResidency) int { return strings.Compare(a.Root, b.Root) })
+	return out
+}
+
+// tieredPair drives a store and the reference through the same operations
+// and fails on the first observable difference: hit tokens, transfer
+// durations, the ledger, the tier walk, capacities and residency.
+type tieredPair struct {
+	t    testing.TB
+	s    *TieredStore
+	ref  *refStore
+	step int
+}
+
+func newTieredPair(t testing.TB, cfg TieredConfig) *tieredPair {
+	return &tieredPair{t: t, s: NewTieredStore(cfg), ref: newRefStore(cfg)}
+}
+
+func (p *tieredPair) lookup(m, key string, tokens int, kvb int64) {
+	got, gotX := p.s.Lookup(m, key, tokens, kvb)
+	want, wantX := p.ref.Lookup(m, key, tokens, kvb)
+	if got != want || gotX != wantX {
+		p.t.Fatalf("step %d: Lookup(%s, %q, %d) = (%d, %v), ref (%d, %v)", p.step, m, key, tokens, got, gotX, want, wantX)
+	}
+	p.check()
+}
+
+func (p *tieredPair) insert(m, key string, tokens int, kvb int64) {
+	got, want := p.s.Insert(m, key, tokens, kvb), p.ref.Insert(m, key, tokens, kvb)
+	if got != want {
+		p.t.Fatalf("step %d: Insert(%s, %q, %d) spill %v, ref %v", p.step, m, key, tokens, got, want)
+	}
+	p.check()
+}
+
+func (p *tieredPair) setGPUCapacity(bytes int64) {
+	p.s.SetGPUCapacity(bytes)
+	p.ref.SetGPUCapacity(bytes)
+	p.check()
+}
+
+func (p *tieredPair) reset(cfg TieredConfig) {
+	p.s.Reset(cfg)
+	p.ref.Reset(cfg)
+	p.check()
+}
+
+func (p *tieredPair) check() {
+	p.t.Helper()
+	s, ref := p.s, p.ref
+	if s.Ledger != ref.ledger {
+		p.t.Fatalf("step %d: ledger diverged\n store: %+v\n   ref: %+v", p.step, s.Ledger, ref.ledger)
+	}
+	if !s.Ledger.Conserved() {
+		p.t.Fatalf("step %d: conservation broken: %+v", p.step, s.Ledger)
+	}
+	gpu, cpu := s.TierUsage()
+	if gpu != ref.bytes(ref.gpu) || cpu != ref.bytes(ref.cpu) || gpu != s.Ledger.GPUBytes || cpu != s.Ledger.CPUBytes {
+		p.t.Fatalf("step %d: usage walk (%d, %d), ref (%d, %d), ledger (%d, %d)", p.step,
+			gpu, cpu, ref.bytes(ref.gpu), ref.bytes(ref.cpu), s.Ledger.GPUBytes, s.Ledger.CPUBytes)
+	}
+	if cfg := s.Config(); cfg != ref.cfg || gpu > cfg.GPUBytes || cpu > cfg.CPUBytes {
+		p.t.Fatalf("step %d: config %+v (ref %+v) with gpu=%d cpu=%d resident", p.step, cfg, ref.cfg, gpu, cpu)
+	}
+	if got, want := s.AppendResidency(nil), ref.residency(); !slices.Equal(got, want) {
+		p.t.Fatalf("step %d: residency %v, ref %v", p.step, got, want)
+	}
+	p.step++
 }
 
 // TestTieredStorePropertyVsReference drives the real store and the naive
@@ -357,9 +491,7 @@ func TestTieredStorePropertyVsReference(t *testing.T) {
 	run := func(seed int64) TierLedger {
 		const kvb = 1 << 10
 		const block = int64(16) * kvb
-		cfg := TieredConfig{Enabled: true, GPUBytes: 6 * block, CPUBytes: 4 * block, BlockTokens: 16}
-		s := NewTieredStore(cfg)
-		ref := newRefStore(cfg)
+		p := newTieredPair(t, TieredConfig{Enabled: true, GPUBytes: 6 * block, CPUBytes: 4 * block, BlockTokens: 16})
 		rng := rand.New(rand.NewSource(seed))
 		models := []string{"llama", "mistral"}
 		keys := []string{
@@ -372,37 +504,78 @@ func TestTieredStorePropertyVsReference(t *testing.T) {
 			key := keys[rng.Intn(len(keys))]
 			tokens := rng.Intn(300)
 			if rng.Intn(2) == 0 {
-				got, _ := s.Lookup(m, key, tokens, kvb)
-				want := ref.Lookup(m, key, tokens, kvb)
-				if got != want {
-					t.Fatalf("step %d: Lookup(%s, %q, %d) = %d, ref %d", step, m, key, tokens, got, want)
-				}
+				p.lookup(m, key, tokens, kvb)
 			} else {
-				s.Insert(m, key, tokens, kvb)
-				ref.Insert(m, key, tokens, kvb)
-			}
-			if s.Ledger != ref.ledger {
-				t.Fatalf("step %d: ledger diverged\n store: %+v\n   ref: %+v", step, s.Ledger, ref.ledger)
-			}
-			if !s.Ledger.Conserved() {
-				t.Fatalf("step %d: conservation broken: %+v", step, s.Ledger)
-			}
-			gpu, cpu := s.TierUsage()
-			if gpu != s.Ledger.GPUBytes || cpu != s.Ledger.CPUBytes {
-				t.Fatalf("step %d: usage walk (%d, %d) != ledger (%d, %d)", step, gpu, cpu, s.Ledger.GPUBytes, s.Ledger.CPUBytes)
-			}
-			if gpu > cfg.GPUBytes || cpu > cfg.CPUBytes {
-				t.Fatalf("step %d: capacity exceeded gpu=%d cpu=%d", step, gpu, cpu)
+				p.insert(m, key, tokens, kvb)
 			}
 		}
-		return s.Ledger
+		return p.s.Ledger
 	}
-	for _, seed := range []int64{1, 7, 42} {
+	for _, seed := range propertySeeds {
 		a, b := run(seed), run(seed)
 		if a != b {
 			t.Fatalf("seed %d: two runs diverged:\n%+v\n%+v", seed, a, b)
 		}
 	}
+}
+
+var propertySeeds = []int64{1, 7, 42}
+
+// fuzzUnit is one 16-token block of the fuzz target's smaller model.
+const fuzzUnit = 16 << 10
+
+// fuzzConfigs are the store sizes FuzzTiered picks from: small tiers so a
+// short op stream spills, evicts and promotes; one has no host tier, one a
+// GPU tier smaller than the larger model's block, one 8-token blocks.
+var fuzzConfigs = []TieredConfig{
+	{Enabled: true, GPUBytes: 6 * fuzzUnit, CPUBytes: 4 * fuzzUnit, BlockTokens: 16},
+	{Enabled: true, GPUBytes: 3 * fuzzUnit, CPUBytes: -1, BlockTokens: 16},
+	{Enabled: true, GPUBytes: fuzzUnit, CPUBytes: 8 * fuzzUnit, BlockTokens: 16},
+	{Enabled: true, GPUBytes: 5 * fuzzUnit, CPUBytes: fuzzUnit, BlockTokens: 8},
+}
+
+// FuzzTiered decodes bytes into a stream of Lookup, Insert, SetGPUCapacity
+// and Reset calls over two models with different per-token sizes, pinned,
+// open-ended and empty keys, and checks the store against the reference
+// after every call.
+func FuzzTiered(f *testing.F) {
+	f.Add([]byte{0})
+	for _, seed := range propertySeeds {
+		data := make([]byte, 256)
+		rand.New(rand.NewSource(seed)).Read(data)
+		f.Add(data)
+	}
+	models := []struct {
+		name string
+		kvb  int64
+	}{{"llama", fuzzUnit / 16}, {"mistral", 3 * fuzzUnit / 32}}
+	keys := []string{
+		"tpl0@64/sess0", "tpl0@64/sess1", "tpl1@32/sess3", "a@16/b@16/c",
+		"a@16/b@16", "sess5", "sess6", "",
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		p := newTieredPair(t, fuzzConfigs[int(data[0])%len(fuzzConfigs)])
+		ops := data[1:]
+		for i := 0; i+1 < len(ops) && i < 512; i += 2 {
+			op, arg := ops[i], ops[i+1]
+			m := models[(op>>3)&1]
+			key := keys[int(op>>4)%len(keys)]
+			tokens := 2 * int(arg)
+			switch op % 8 {
+			case 0, 1, 2:
+				p.lookup(m.name, key, tokens, m.kvb)
+			case 3, 4, 5:
+				p.insert(m.name, key, tokens, m.kvb)
+			case 6:
+				p.setGPUCapacity(int64(1+arg%12) * fuzzUnit / 2)
+			case 7:
+				p.reset(fuzzConfigs[int(arg)%len(fuzzConfigs)])
+			}
+		}
+	})
 }
 
 // Reset must behave exactly like a fresh store.
@@ -419,5 +592,55 @@ func TestTieredStoreReset(t *testing.T) {
 	}
 	if got := s.AppendResidency(nil); len(got) != 0 {
 		t.Fatalf("stale residency after reset: %v", got)
+	}
+}
+
+// A store that ran a workload and was Reset answers op for op like a fresh
+// one, and once warm a Reset-plus-churn round allocates nothing: the slab,
+// index and root table are reused in place.
+func TestTieredStoreReuse(t *testing.T) {
+	const kvb = 1 << 10
+	small := TieredConfig{Enabled: true, GPUBytes: 8 * fuzzUnit, CPUBytes: 8 * fuzzUnit, BlockTokens: 16}
+	big := TieredConfig{Enabled: true, GPUBytes: 64 * fuzzUnit, CPUBytes: -1, BlockTokens: 8}
+	keys := []string{"tpl0@64/sess0", "tpl0@64/sess1", "tpl1@32/sess2", "sess3", "sess4"}
+	workload := func(s *TieredStore, seed int64) []int64 {
+		rng := rand.New(rand.NewSource(seed))
+		var out []int64
+		for range 500 {
+			key, tokens := keys[rng.Intn(len(keys))], rng.Intn(600)
+			hit, xfer := s.Lookup("m", key, tokens, kvb)
+			out = append(out, int64(hit), int64(xfer), int64(s.Insert("m", key, tokens, kvb)))
+		}
+		return out
+	}
+	for _, cfg := range []TieredConfig{small, big} {
+		used := NewTieredStore(big)
+		workload(used, 3)
+		used.Reset(cfg)
+		fresh := NewTieredStore(cfg)
+		if a, b := workload(used, 9), workload(fresh, 9); !slices.Equal(a, b) {
+			t.Fatalf("%+v: reset store diverged from a fresh one", cfg)
+		}
+		if used.Ledger != fresh.Ledger || !slices.Equal(used.AppendResidency(nil), fresh.AppendResidency(nil)) {
+			t.Fatalf("%+v: reset ledger %+v, fresh %+v", cfg, used.Ledger, fresh.Ledger)
+		}
+	}
+
+	s := NewTieredStore(small)
+	round := func() {
+		s.Reset(small)
+		for turn := 1; turn <= 4; turn++ {
+			for _, key := range keys {
+				s.Lookup("m", key, 64*turn, kvb)
+				s.Insert("m", key, 64*turn+32, kvb)
+			}
+		}
+	}
+	round() // warm-up sizes the slab, index and root table
+	if s.Ledger.Evictions == 0 {
+		t.Fatalf("round never evicts: %+v", s.Ledger)
+	}
+	if allocs := testing.AllocsPerRun(10, round); allocs != 0 {
+		t.Fatalf("steady-state round allocates %.1f times", allocs)
 	}
 }

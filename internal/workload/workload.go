@@ -35,7 +35,7 @@ type Request struct {
 	// PrefixKey, when non-empty, identifies the request's shareable prompt
 	// prefix for the tiered KV cache (kvcache.TieredStore). It is
 	// hierarchical: "tpl3@512/sess17" pins the first 512 tokens to template
-	// 3 and the remainder to session 17 (see kvcache.segmentOwner). Empty
+	// 3 and the remainder to session 17 (see kvcache.segmentSpan). Empty
 	// means no cross-request sharing.
 	PrefixKey string
 }
