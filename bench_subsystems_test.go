@@ -69,15 +69,23 @@ func BenchmarkSub_SimEventLoop(b *testing.B) {
 }
 
 // BenchmarkSub_MemctlLedger measures ledger op throughput on the default
-// (pooled, batched) path: ops come from the node's free-list, demands stage
-// through the per-node step batch, and each round reuses the simulator and
-// ledger through their Reset lifecycles — the arena steady state, where the
+// (pooled) path: ops come from the node's free-list through AcquireOp and
+// go straight to Demand, and each round reuses the simulator and ledger
+// through their Reset lifecycles — the arena steady state, where the
 // admit/execute/complete/station churn itself allocates nothing.
 func BenchmarkSub_MemctlLedger(b *testing.B) {
 	b.ReportAllocs()
 	const ops = 256
 	s := sim.New()
 	nm := memctl.New(s, "bench", 64<<30)
+	demand := func(owner string, from, to int64) {
+		op := nm.AcquireOp()
+		op.Kind, op.Owner = memctl.ResizeKV, owner
+		op.From, op.To, op.Duration = from, to, sim.Millisecond
+		if !nm.Demand(op) {
+			nm.ReleaseOp(op)
+		}
+	}
 	round := func() {
 		s.Reset()
 		nm.Reset("bench", 64<<30)
@@ -87,12 +95,9 @@ func BenchmarkSub_MemctlLedger(b *testing.B) {
 				owner = "b/kv"
 			}
 			grow := int64(40 << 30)
-			bt := nm.StepBatch()
-			bt.Demand(memctl.ResizeKV, owner, 0, grow, sim.Millisecond, nil)
-			bt.Commit()
+			demand(owner, 0, grow)
 			s.RunUntil(s.Now().Add(2 * sim.Millisecond))
-			bt.Demand(memctl.ResizeKV, owner, grow, 0, sim.Millisecond, nil)
-			bt.Commit()
+			demand(owner, grow, 0)
 			s.RunUntil(s.Now().Add(2 * sim.Millisecond))
 		}
 		if err := nm.CheckInvariants(); err != nil {

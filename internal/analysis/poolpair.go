@@ -13,9 +13,9 @@ import (
 //     handed off (returned, stored in a struct/slice/map, passed to a
 //     call) before every function exit.
 //   - AcquireOp results must be consumed — passed to a call (Demand,
-//     ReleaseOp, append into a station/batch) or handed off — before every
-//     function exit. Admitted ops recycle themselves on complete/cancel,
-//     so reaching Demand is the pairing.
+//     ReleaseOp, append into a station) or handed off — before every
+//     function exit. Admitted ops recycle themselves on completion, so
+//     reaching Demand is the pairing.
 //
 // The analysis is syntactic dataflow over the function body: branches of
 // if/switch/select merge conservatively (a path is clean only if every
@@ -352,7 +352,7 @@ func (c *ppChecker) scanExpr(e ast.Expr, st *ppState) {
 				if c.kind == kindArena && sel.Sel.Name == "Release" {
 					st.done = true
 				}
-				// Other methods on v (a.NewController, a.Sim, op.Cancel)
+				// Other methods on v (a.NewController, a.Sim)
 				// neither release nor consume.
 			} else {
 				c.scanExpr(e.Fun, st)

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"slinfer/internal/hwsim"
+	"slinfer/internal/kvcache"
 	"slinfer/internal/model"
 	"slinfer/internal/sim"
 	"slinfer/internal/workload"
@@ -102,5 +103,32 @@ func TestArenaPoolNotSharedAcrossWorkers(t *testing.T) {
 	close(errs)
 	if got, ok := <-errs; ok {
 		t.Fatalf("concurrent arena run diverged from fresh build:\n--- got ---\n%s--- want ---\n%s", got, want)
+	}
+}
+
+// TestPrefixStoreWithoutHostTier pins that a negative host-tier size stays
+// "no host tier" through Config's defaulting and the store's own, on a
+// fresh controller and on a reused arena: the store reports a zero host
+// tier, and blocks pushed out of the GPU tier are freed, never spilled.
+func TestPrefixStoreWithoutHostTier(t *testing.T) {
+	m := model.Llama2_7B
+	perTok := m.KVBytesPerToken()
+	cfg := SLINFER()
+	cfg.PrefixCache = kvcache.TieredConfig{Enabled: true, GPUBytes: 64 * 16 * perTok, CPUBytes: -1}
+	a := AcquireArena()
+	defer a.Release()
+	for i := 0; i < 3; i++ {
+		c := New(sim.New(), hwsim.Testbed(1, 1), []model.Model{m}, cfg)
+		if i > 0 {
+			c = a.NewController(hwsim.Testbed(1, 1), []model.Model{m}, cfg) // the second one resets the first
+		}
+		ts := c.PrefixStore()
+		if got := ts.Config().CPUBytes; got != 0 {
+			t.Fatalf("controller %d: host tier %d bytes, want 0", i, got)
+		}
+		ts.Insert(m.Name, "sess0", 128*16, perTok)
+		if led := ts.Ledger; led.Spills != 0 || led.CPUBytes != 0 || led.Evictions != 64 || !led.Conserved() {
+			t.Fatalf("controller %d: GPU overflow spilled instead of freeing: %+v", i, led)
+		}
 	}
 }

@@ -538,9 +538,8 @@ func (c *Controller) removeInstance(inst *engine.Instance, countLifetime bool) {
 	// its current KV capacity under the KV owner the creation resize
 	// allocated, so bytes out under each owner match bytes in, which the
 	// invariant suite checks. Both releases ride the same unload window, so
-	// the node's byte timeline is unchanged. The teardown is one batched
-	// ledger step per node: the ledger (and its conservation observer) sees
-	// a single coherent burst rather than interleaved calls.
+	// the node's byte timeline is unchanged. Scale-downs are always
+	// admitted, so neither demand can be refused.
 	unloadFrom, kv := memShare(c.specOf(inst), inst.Share), int64(0)
 	if c.dynamicMemory(len(inst.NodeIdxs)) {
 		unloadFrom, kv = inst.WeightBytesOnNode()+hwsim.ActivationReserve, inst.Cache.CapacityBytes()
@@ -548,11 +547,16 @@ func (c *Controller) removeInstance(inst *engine.Instance, countLifetime bool) {
 	for _, idx := range inst.NodeIdxs {
 		node := c.Cluster.Nodes[idx]
 		dur := node.Spec.UnloadTime(inst.Model)
-		b := node.Mem.StepBatch()
 		if kv > 0 {
-			b.Demand(memctl.ResizeKV, inst.KVOwner(), kv, 0, dur, nil)
+			op := node.Mem.AcquireOp()
+			op.Kind, op.Owner = memctl.ResizeKV, inst.KVOwner()
+			op.From, op.Duration = kv, dur
+			node.Mem.Demand(op)
 		}
-		b.Demand(memctl.UnloadWeights, inst.WeightsOwner(), unloadFrom, 0, dur, func() {
+		op := node.Mem.AcquireOp()
+		op.Kind, op.Owner = memctl.UnloadWeights, inst.WeightsOwner()
+		op.From, op.Duration = unloadFrom, dur
+		op.OnComplete = func() {
 			if node.ReservedBy == inst.ID {
 				node.ReservedBy = 0
 			}
@@ -560,8 +564,8 @@ func (c *Controller) removeInstance(inst *engine.Instance, countLifetime bool) {
 				c.Collector.NodeInactive(node.Idx, c.Sim.Now())
 			}
 			c.retryPending()
-		})
-		b.Commit()
+		}
+		node.Mem.Demand(op)
 	}
 	inst.Cache.SetCapacity(0)
 }

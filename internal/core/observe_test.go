@@ -100,7 +100,6 @@ func (o *ownerOps) OpAdmitted(_ *memctl.NodeMemory, op *memctl.Op) {
 func (o *ownerOps) OpStarted(*memctl.NodeMemory, *memctl.Op)   {}
 func (o *ownerOps) OpCompleted(*memctl.NodeMemory, *memctl.Op) {}
 func (o *ownerOps) OpRejected(*memctl.NodeMemory, *memctl.Op)  {}
-func (o *ownerOps) OpCanceled(*memctl.NodeMemory, *memctl.Op)  {}
 
 // TestPreemptedVictimMidPrefillIssuesNoOps tears an instance down the way
 // SLO-preserving preemption does (migrate its requests, then reclaim) while

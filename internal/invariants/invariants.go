@@ -1,8 +1,9 @@
 // Package invariants implements always-on runtime checkers for the
-// simulation: a Suite attaches to a controller through the cheap observer
-// hooks in sim, memctl, kvcache, and core, and verifies — on every event,
-// not just at the end — that the run never violates the properties the
-// paper's correctness rests on:
+// simulation: a Suite attaches to a controller through the simulator's
+// event hook, each node ledger's memctl.Observer, and the controller's
+// event stream (core.Probe), and verifies — on every event, not just at the
+// end — that the run never violates the properties the paper's correctness
+// rests on:
 //
 //   - Event-clock monotonicity: the virtual clock never moves backwards
 //     (sim.Simulator.OnEvent).
@@ -16,14 +17,17 @@
 //     exceeds capacity. At end of run, every allocation of a torn-down
 //     instance is empty or has its release in flight (teardown releases
 //     what creation charged).
-//   - KV-cache accounting: token releases never exceed live tokens
-//     (kvcache.CacheObserver), and on every completion the cache's live
-//     token count equals the sum of the running batch's context tokens.
-//   - Tiered prefix-store conservation: on every store transition
-//     (kvcache.TierObserver), allocated bytes equal GPU-resident plus
-//     CPU-resident plus freed bytes, tiers stay within their configured
-//     capacities, and at end of run the ledger's resident counters reconcile
-//     against an independent walk of the block lists.
+//   - KV-cache accounting: token releases never exceed live tokens (the
+//     cache's over-release count, read on every event that names an
+//     instance — each release is followed by one), and on every completion
+//     the cache's live token count equals the sum of the running batch's
+//     context tokens.
+//   - Tiered prefix-store conservation: after every store lookup and insert
+//     (the prefix hit/miss and completion events that follow them),
+//     allocated bytes equal GPU-resident plus CPU-resident plus freed bytes
+//     and tiers stay within their configured capacities; at end of run the
+//     ledger's resident counters reconcile against an independent walk of
+//     the block lists.
 //   - Request lifecycle: every submitted request is seen exactly once and
 //     terminates at most once (no request lost or duplicated); completed
 //     requests generated exactly their trace-declared output tokens.
@@ -94,9 +98,12 @@ type Suite struct {
 	ledgers    []*ledger
 	downOwners []string
 
-	// tier is the watched prefix store (nil unless WatchTier was called);
-	// RunFinished reconciles its ledger against the block lists.
+	// tier is the controller's prefix store (nil when sharing is off),
+	// checked after each event that follows a lookup or insert.
 	tier *kvcache.TieredStore
+	// overReleased is the per-instance over-release count already reported,
+	// allocated on the first double release.
+	overReleased map[int]int64
 
 	// dump is the flight-recorder hook (see SetDumper): invoked once, on
 	// the first recorded violation, to capture the telemetry event log that
@@ -113,8 +120,8 @@ type FlightDumper interface {
 	FlightDump() string
 }
 
-// New returns a Suite observing the simulator's event clock. Use WatchNode /
-// WatchCache / core wiring (Attach) to add the remaining checkers.
+// New returns a Suite observing the simulator's event clock. Use WatchNode
+// and core wiring (Attach) to add the remaining checkers.
 func New(s *sim.Simulator) *Suite {
 	su := &Suite{
 		sim:      s,
@@ -129,17 +136,15 @@ func New(s *sim.Simulator) *Suite {
 }
 
 // Attach wires a full Suite into a controller: the event clock, every
-// node's memory ledger, the request-lifecycle probe, and — as instances are
-// created — their KV caches. Attach must be called before Run; it replaces
-// any previously configured Config.Probe.
+// node's memory ledger, and the controller's event stream, which carries
+// the KV-cache and prefix-store checks. Attach must be called before Run;
+// it replaces any previously configured Config.Probe.
 func Attach(c *core.Controller) *Suite {
 	su := New(c.Sim)
 	for _, n := range c.Cluster.Nodes {
 		su.WatchNode(n.Mem)
 	}
-	if ts := c.PrefixStore(); ts != nil {
-		su.WatchTier(ts)
-	}
+	su.tier = c.PrefixStore()
 	// Telemetry's flight recorder, when the controller runs one, dumps on
 	// the first violation — strictly read-only, so the probe semantics are
 	// unchanged whether or not telemetry is attached.
@@ -321,12 +326,6 @@ func (l *ledger) OpRejected(_ *memctl.NodeMemory, op *memctl.Op) {
 	l.compare("reject")
 }
 
-func (l *ledger) OpCanceled(_ *memctl.NodeMemory, op *memctl.Op) {
-	l.shadowOpt -= op.To - op.From
-	delete(l.admitted, op.Owner)
-	l.compare("cancel")
-}
-
 // checkReleases reports, in sorted owner then node order, every allocation
 // of a torn-down instance that will still hold bytes once its in-flight op
 // lands: the teardown failed to release what creation charged.
@@ -347,72 +346,63 @@ func (s *Suite) checkReleases() {
 
 // ---- KV-cache accounting ------------------------------------------------------
 
-// cacheWatch ties a cache observer to its owning instance for reporting.
-type cacheWatch struct {
-	suite *Suite
-	inst  *engine.Instance
-}
-
-// WatchCache attaches a KV accounting checker to an instance's cache,
-// replacing any previous observer. Attach installs one per instance via
-// its instance-up event.
-func (s *Suite) WatchCache(inst *engine.Instance) {
-	inst.Cache.Observer = &cacheWatch{suite: s, inst: inst}
-}
-
-func (w *cacheWatch) CacheOverRelease(c *kvcache.Cache, released int64) {
-	w.suite.report("kv-accounting",
-		"inst%d: released %d tokens but only %d live (double release)",
-		w.inst.ID, released, c.UsedTokens())
+// checkOverRelease reports the tokens inst's cache released beyond its live
+// count since the last report.
+func (s *Suite) checkOverRelease(inst *engine.Instance) {
+	n := inst.Cache.OverReleased()
+	if n == s.overReleased[inst.ID] {
+		return
+	}
+	if s.overReleased == nil {
+		s.overReleased = map[int]int64{}
+	}
+	s.report("kv-accounting",
+		"inst%d: released %d tokens more than were live (double release)",
+		inst.ID, n-s.overReleased[inst.ID])
+	s.overReleased[inst.ID] = n
 }
 
 // ---- Tiered prefix-store conservation ------------------------------------------
 
-// tierWatch checks the tier ledger's conservation law on every transition.
-type tierWatch struct {
-	suite *Suite
-}
-
-// WatchTier attaches the conservation checker to a tiered prefix store,
-// replacing any previous observer, and registers the store for end-of-run
-// reconciliation. Attach wires it automatically when the controller has
-// prefix sharing enabled.
-func (s *Suite) WatchTier(ts *kvcache.TieredStore) {
-	ts.Observer = &tierWatch{suite: s}
-	s.tier = ts
-}
-
-func (w *tierWatch) TierChanged(ts *kvcache.TieredStore) {
+// checkTier holds the store's ledger to the conservation law and the tier
+// capacities. It runs on the events that follow a Lookup or Insert, never
+// on the tier-transition events those calls emit while the ledger is
+// mid-update.
+func (s *Suite) checkTier() {
+	ts := s.tier
+	if ts == nil {
+		return
+	}
 	led := ts.Ledger
 	if !led.Conserved() {
-		w.suite.report("tier-conservation",
+		s.report("tier-conservation",
 			"allocated %d != gpu %d + cpu %d + freed %d (bytes leaked or conjured)",
 			led.AllocatedBytes, led.GPUBytes, led.CPUBytes, led.FreedBytes)
 	}
 	if led.GPUBytes < 0 || led.CPUBytes < 0 || led.FreedBytes < 0 || led.AllocatedBytes < 0 {
-		w.suite.report("tier-conservation",
+		s.report("tier-conservation",
 			"negative accounting: alloc=%d gpu=%d cpu=%d freed=%d",
 			led.AllocatedBytes, led.GPUBytes, led.CPUBytes, led.FreedBytes)
 	}
 	cfg := ts.Config()
 	if led.GPUBytes > cfg.GPUBytes {
-		w.suite.report("tier-conservation",
+		s.report("tier-conservation",
 			"GPU tier %d bytes exceeds capacity %d", led.GPUBytes, cfg.GPUBytes)
 	}
 	if led.CPUBytes > cfg.CPUBytes {
-		w.suite.report("tier-conservation",
+		s.report("tier-conservation",
 			"CPU tier %d bytes exceeds capacity %d", led.CPUBytes, cfg.CPUBytes)
 	}
 }
 
 // checkTierResidency reconciles the ledger's resident counters against an
 // independent walk of the store's block lists (end-of-run ground truth).
-func (s *Suite) checkTierResidency() {
-	if s.tier == nil {
+func (s *Suite) checkTierResidency(ts *kvcache.TieredStore) {
+	if ts == nil {
 		return
 	}
-	gpu, cpu := s.tier.TierUsage()
-	led := s.tier.Ledger
+	gpu, cpu := ts.TierUsage()
+	led := ts.Ledger
 	if gpu != led.GPUBytes || cpu != led.CPUBytes {
 		s.report("tier-conservation",
 			"ledger residency (gpu=%d cpu=%d) != block-list walk (gpu=%d cpu=%d) — tier leak",
@@ -427,11 +417,15 @@ func (s *Suite) checkTierResidency() {
 
 // ---- Request lifecycle + SLO bookkeeping --------------------------------------
 
-// Observe implements core.Probe: the suite checks five lifecycle kinds
-// (submission, completion, drop, instance creation and removal) and
-// ignores the rest of the stream.
+// Observe implements core.Probe: the suite checks four lifecycle kinds
+// (submission, completion, drop, instance removal), the prefix store after
+// each lookup and insert, and the KV cache of every instance an event
+// names; it ignores the rest of the stream.
 func (s *Suite) Observe(ev core.Event) {
 	req, inst := ev.Req, ev.Inst
+	if inst != nil && inst.Cache.OverReleased() != 0 {
+		s.checkOverRelease(inst)
+	}
 	switch ev.Kind {
 	case telemetry.KindAdmit:
 		id := req.W.ID
@@ -467,6 +461,9 @@ func (s *Suite) Observe(ev core.Event) {
 		if inst != nil {
 			s.checkInstanceKV(inst)
 		}
+		s.checkTier()
+	case telemetry.KindPrefixHit, telemetry.KindPrefixMiss:
+		s.checkTier()
 	case telemetry.KindDrop:
 		id := req.W.ID
 		switch {
@@ -485,8 +482,6 @@ func (s *Suite) Observe(ev core.Event) {
 		if req.Tracker.Met() {
 			s.report("slo-bookkeeping", "request %d dropped yet marked SLO-met", id)
 		}
-	case telemetry.KindInstanceUp:
-		s.WatchCache(inst)
 	case telemetry.KindInstanceDown:
 		// Every removal path (keep-alive reclaim, preemption) drains or
 		// migrates requests out before the unload is issued, so a removed
@@ -523,7 +518,7 @@ func (s *Suite) checkInstanceKV(inst *engine.Instance) {
 // between the report, the collector, and the independently counted events.
 // Requests still live at drain end are legal (the grace window bounds the
 // run); the conservation identity accounts for them explicitly.
-func (s *Suite) RunFinished(_ *core.Controller, rep metrics.Report) {
+func (s *Suite) RunFinished(c *core.Controller, rep metrics.Report) {
 	if rep.Total != s.submitted {
 		s.report("slo-bookkeeping", "report total %d != %d observed submissions", rep.Total, s.submitted)
 	}
@@ -554,6 +549,8 @@ func (s *Suite) RunFinished(_ *core.Controller, rep metrics.Report) {
 			"%d TTFT samples for %d completions (every completed request has a first token)",
 			len(rep.TTFTCDF), rep.Completed)
 	}
-	s.checkTierResidency()
+	if c != nil {
+		s.checkTierResidency(c.PrefixStore())
+	}
 	s.checkReleases()
 }

@@ -187,28 +187,42 @@ func TestConservationCatchesConcurrentOps(t *testing.T) {
 	}
 }
 
-// TestKVOverReleaseCaught flags releasing more tokens than live.
+// TestKVOverReleaseCaught flags releasing more tokens than live. The cache
+// only counts the excess; the suite reports it on the next event naming the
+// instance, which the controller emits after every release (here the
+// preemption that follows a migrating request's release), and reports each
+// double release once.
 func TestKVOverReleaseCaught(t *testing.T) {
 	suite := New(sim.New())
 	inst := &engine.Instance{ID: 7, Model: model.Llama2_7B, Cache: kvcache.NewCache(model.Llama2_7B, 1)}
-	suite.WatchCache(inst)
+	preempt := core.Event{Kind: telemetry.KindPreempt, Inst: inst}
 	inst.Cache.SetCapacity(1 << 30)
 	if !inst.Cache.AddTokens(100) {
 		t.Fatal("tokens did not fit")
 	}
-	inst.Cache.ReleaseTokens(150)
-	if suite.Ok() {
-		t.Fatal("over-release not caught")
+	inst.Cache.ReleaseTokens(60)
+	suite.Observe(preempt)
+	if err := suite.Err(); err != nil {
+		t.Fatalf("legitimate release flagged: %v", err)
 	}
-	if v := suite.Violations()[0]; v.Check != "kv-accounting" {
-		t.Fatalf("unexpected check %q", v.Check)
+	inst.Cache.ReleaseTokens(90)
+	suite.Observe(preempt)
+	suite.Observe(preempt)
+	got := suite.Violations()
+	if len(got) != 1 {
+		t.Fatalf("want one over-release violation, got %v", got)
+	}
+	if got[0].Check != "kv-accounting" || !strings.Contains(got[0].Detail, "released 50 tokens more than were live") {
+		t.Fatalf("unexpected violation %v", got[0])
 	}
 }
 
 // TestTierConservationCleanAndCorrupted drives the tiered prefix store
-// through real traffic (clean: no violations), then corrupts its ledger —
+// through real traffic with the events the controller emits around it (a
+// prefix hit or miss after every Lookup, a completion after every Insert):
+// clean traffic raises no violation. It then corrupts the store's ledger —
 // the over-release and tier-leak classes — and requires the conservation
-// checker to fire on the next transition and at reconciliation.
+// checker to fire on the next such event and at reconciliation.
 func TestTierConservationCleanAndCorrupted(t *testing.T) {
 	perTok := model.Llama2_7B.KVBytesPerToken()
 	newStore := func() (*Suite, *kvcache.TieredStore) {
@@ -216,16 +230,34 @@ func TestTierConservationCleanAndCorrupted(t *testing.T) {
 		ts := kvcache.NewTieredStore(kvcache.TieredConfig{
 			Enabled: true, GPUBytes: 64 * 16 * perTok, CPUBytes: 128 * 16 * perTok,
 		})
-		suite.WatchTier(ts)
+		suite.tier = ts
 		return suite, ts
+	}
+	lookup := func(suite *Suite, ts *kvcache.TieredStore, key string, tokens int) {
+		hit, _ := ts.Lookup("m", key, tokens, perTok)
+		kind := telemetry.KindPrefixMiss
+		if hit > 0 {
+			kind = telemetry.KindPrefixHit
+		}
+		suite.Observe(core.Event{Kind: kind, A: int64(hit), B: int64(tokens)})
+	}
+	var nextID int64
+	insert := func(suite *Suite, ts *kvcache.TieredStore, key string, tokens int) {
+		nextID++
+		req := engine.NewRequest(workload.Request{ID: nextID, ModelName: "m", InputLen: tokens - 1, OutputLen: 1})
+		suite.Observe(core.Event{Kind: telemetry.KindAdmit, Req: req})
+		req.State, req.Generated = engine.Done, 1
+		req.Tracker.RecordToken(0.1)
+		ts.Insert("m", key, tokens, perTok)
+		suite.Observe(core.Event{Kind: telemetry.KindComplete, Req: req, A: 1})
 	}
 
 	// Clean traffic: inserts, hits, spills, evictions — all conserved.
 	suite, ts := newStore()
 	for sess := 0; sess < 12; sess++ {
 		key := "tpl0@512/sess" + string(rune('a'+sess))
-		ts.Insert("m", key, 2048, perTok)
-		ts.Lookup("m", key, 2048, perTok)
+		insert(suite, ts, key, 2048)
+		lookup(suite, ts, key, 2048)
 	}
 	if err := suite.Err(); err != nil {
 		t.Fatalf("clean tier traffic flagged: %v", err)
@@ -234,11 +266,12 @@ func TestTierConservationCleanAndCorrupted(t *testing.T) {
 		t.Fatalf("traffic did not exercise spill/evict paths: %+v", ts.Ledger)
 	}
 
-	// Over-release: FreedBytes inflated as if blocks were freed twice.
+	// Over-release: FreedBytes inflated as if blocks were freed twice,
+	// caught at the next lookup's event.
 	suite, ts = newStore()
-	ts.Insert("m", "tpl0@512/sessA", 1024, perTok)
+	insert(suite, ts, "tpl0@512/sessA", 1024)
 	ts.Ledger.FreedBytes += 10 * 16 * perTok
-	ts.Lookup("m", "tpl0@512/sessA", 1024, perTok)
+	lookup(suite, ts, "tpl0@512/sessA", 1024)
 	if suite.Ok() {
 		t.Fatal("over-release corruption not caught")
 	}
@@ -247,20 +280,24 @@ func TestTierConservationCleanAndCorrupted(t *testing.T) {
 	}
 
 	// Tier leak: the ledger claims fewer GPU-resident bytes than the block
-	// lists actually hold; the per-transition law breaks, and so does the
-	// end-of-run walk reconciliation.
+	// lists actually hold; the conservation law breaks at the next
+	// completion's event, and the end-of-run walk reconciliation catches it
+	// even when the sum law is kept intact.
 	suite, ts = newStore()
-	ts.Insert("m", "tpl0@512/sessB", 1024, perTok)
+	insert(suite, ts, "tpl0@512/sessB", 1024)
 	ts.Ledger.GPUBytes -= 16 * perTok
-	ts.Lookup("m", "tpl0@512/sessB", 1024, perTok)
+	insert(suite, ts, "tpl0@512/sessB2", 1024)
 	if suite.Ok() {
-		t.Fatal("tier leak not caught on transition")
+		t.Fatal("tier leak not caught on the completion event")
+	}
+	if v := suite.Violations()[0]; v.Check != "tier-conservation" {
+		t.Fatalf("unexpected check %q", v.Check)
 	}
 	suite, ts = newStore()
-	ts.Insert("m", "tpl0@512/sessC", 1024, perTok)
+	insert(suite, ts, "tpl0@512/sessC", 1024)
 	ts.Ledger.GPUBytes -= 16 * perTok
 	ts.Ledger.AllocatedBytes -= 16 * perTok // keep the sum law intact
-	suite.checkTierResidency()
+	suite.checkTierResidency(ts)
 	found := false
 	for _, v := range suite.Violations() {
 		if v.Check == "tier-conservation" && strings.Contains(v.Detail, "tier leak") {

@@ -152,16 +152,6 @@ func (w Watermark) Validate() error {
 	return nil
 }
 
-// CacheObserver watches one cache's accounting. The invariant suite uses it
-// to flag over-releases (more tokens released than live — accounting
-// corruption that the clamp below would otherwise silently absorb). Nil
-// costs one branch per release.
-type CacheObserver interface {
-	// CacheOverRelease fires when a release exceeds the live token count;
-	// the cache clamps at zero, but the excess marks an accounting bug.
-	CacheOverRelease(c *Cache, released int64)
-}
-
 // Cache tracks one instance's allocated KV capacity and live usage in
 // tokens. It is pure accounting: timing and safety live in memctl.
 type Cache struct {
@@ -173,9 +163,9 @@ type Cache struct {
 	perNodeDivisor int
 	capacityBytes  int64
 	usedTokens     int64
-
-	// Observer, if set, watches for over-releases (see CacheObserver).
-	Observer CacheObserver
+	// overReleased counts tokens released beyond the live count: the
+	// release clamps at zero, but the excess marks an accounting bug.
+	overReleased int64
 }
 
 // NewCache returns an empty cache for the model.
@@ -206,6 +196,11 @@ func (c *Cache) UsedBytes() int64 {
 
 // UsedTokens returns the number of live tokens.
 func (c *Cache) UsedTokens() int64 { return c.usedTokens }
+
+// OverReleased returns the lifetime count of tokens released beyond the
+// live count (a double release). The invariant suite reads it after every
+// event that names the cache's instance.
+func (c *Cache) OverReleased() int64 { return c.overReleased }
 
 // Utilization returns used/capacity in [0, 1]; zero-capacity caches report 0.
 func (c *Cache) Utilization() float64 {
@@ -244,11 +239,9 @@ func (c *Cache) AddTokens(n int64) bool {
 
 // ReleaseTokens accounts tokens leaving the cache on request completion.
 func (c *Cache) ReleaseTokens(n int64) {
-	if n > c.usedTokens && c.Observer != nil {
-		c.Observer.CacheOverRelease(c, n)
-	}
 	c.usedTokens -= n
 	if c.usedTokens < 0 {
+		c.overReleased -= c.usedTokens
 		c.usedTokens = 0
 	}
 }

@@ -121,12 +121,15 @@ func TestCacheAccounting(t *testing.T) {
 		t.Fatalf("Utilization = %v, want 0.8", got)
 	}
 	c.ReleaseTokens(5)
-	if c.UsedTokens() != 3 {
-		t.Fatalf("UsedTokens after release = %d", c.UsedTokens())
+	if c.UsedTokens() != 3 || c.OverReleased() != 0 {
+		t.Fatalf("UsedTokens after release = %d, over-released %d", c.UsedTokens(), c.OverReleased())
 	}
-	c.ReleaseTokens(100) // over-release clamps
+	c.ReleaseTokens(100) // over-release clamps and counts the excess
 	if c.UsedTokens() != 0 {
 		t.Fatal("over-release should clamp to zero")
+	}
+	if c.OverReleased() != 97 {
+		t.Fatalf("OverReleased = %d, want 97", c.OverReleased())
 	}
 }
 

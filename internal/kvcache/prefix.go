@@ -63,10 +63,17 @@ type TieredConfig struct {
 	CPUBytes int64
 	// BlockTokens is the sharing granularity (default DefaultBlockTokens).
 	BlockTokens int
+
+	// noHostTier records that WithDefaults turned a negative CPUBytes into
+	// zero, so defaulting again keeps the host tier off instead of reading
+	// the zero as "default".
+	noHostTier bool
 }
 
 // WithDefaults fills zero fields with usable defaults: 4 GiB GPU tier and a
-// 4x host tier, 16-token blocks.
+// 4x host tier, 16-token blocks. A negative CPUBytes becomes zero (no host
+// tier). Defaulting is idempotent, so a defaulted config — a store's
+// Config() included — can be passed back to NewTieredStore or Reset.
 func (c TieredConfig) WithDefaults() TieredConfig {
 	if !c.Enabled {
 		return c
@@ -75,8 +82,8 @@ func (c TieredConfig) WithDefaults() TieredConfig {
 		c.GPUBytes = 4 << 30
 	}
 	if c.CPUBytes < 0 {
-		c.CPUBytes = 0
-	} else if c.CPUBytes == 0 {
+		c.CPUBytes, c.noHostTier = 0, true
+	} else if c.CPUBytes == 0 && !c.noHostTier {
 		c.CPUBytes = 4 * c.GPUBytes
 	}
 	if c.BlockTokens <= 0 {
@@ -141,15 +148,6 @@ type TierLedger struct {
 // Conserved reports whether the byte-conservation law holds.
 func (l TierLedger) Conserved() bool {
 	return l.AllocatedBytes == l.GPUBytes+l.CPUBytes+l.FreedBytes
-}
-
-// TierObserver watches a tiered store's transitions. The invariants suite
-// uses it to check the conservation law after every mutation; nil costs one
-// branch per transition.
-type TierObserver interface {
-	// TierChanged fires after any Lookup or Insert with the store in its
-	// new state.
-	TierChanged(s *TieredStore)
 }
 
 // TierTrace receives per-transition telemetry from a tiered store: bytes
@@ -284,9 +282,6 @@ type TieredStore struct {
 	// fires.
 	Ledger TierLedger
 
-	// Observer, if set, watches transitions (see TierObserver).
-	Observer TierObserver
-
 	// Trace, if set, receives per-transition telemetry (see TierTrace).
 	// Reset clears it; the controller rewires it per run.
 	Trace TierTrace
@@ -326,8 +321,8 @@ func (s *TieredStore) Config() TieredConfig { return s.cfg }
 // SetGPUCapacity changes the GPU tier's capacity in place (fault
 // injection: KVTierDegrade shrinks it, recovery restores it). Shrinking
 // below current residency spills LRU blocks to the CPU tier immediately,
-// so the capacity invariant (WatchTier reads Config at check time) holds
-// through the transition. No-op on a nil/zero-capacity store.
+// so the capacity invariant (the invariant suite reads Config at check
+// time) holds through the transition. No-op on a nil/zero-capacity store.
 func (s *TieredStore) SetGPUCapacity(bytes int64) {
 	if s == nil || bytes <= 0 || bytes == s.cfg.GPUBytes {
 		return
@@ -626,9 +621,6 @@ func (s *TieredStore) Lookup(modelName, key string, inputTokens int, kvBytesPerT
 	s.Ledger.HitBytes += hitBytes
 	s.Ledger.MissBytes += int64(inputTokens-hitTokens) * kvBytesPerToken
 	s.Ledger.CPUHitBytes += promoted
-	if s.Observer != nil {
-		s.Observer.TierChanged(s)
-	}
 	return hitTokens, PromoteTime(promoted)
 }
 
@@ -759,9 +751,6 @@ func (s *TieredStore) Insert(modelName, key string, contextTokens int, kvBytesPe
 		s.Ledger.GPUBytes += blockBytes
 		s.Ledger.Inserts++
 		s.rootBytes[root] += blockBytes
-	}
-	if s.Observer != nil {
-		s.Observer.TierChanged(s)
 	}
 	return SpillTime(s.Ledger.SpillBytes - spilledBefore)
 }

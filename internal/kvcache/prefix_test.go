@@ -57,6 +57,14 @@ func TestTieredConfigDefaults(t *testing.T) {
 		if c.ok && c.cfg.WithDefaults().Validate() != nil {
 			t.Errorf("%+v: valid config fails validation once defaulted", c.cfg)
 		}
+		if once := c.cfg.WithDefaults(); once.WithDefaults() != once {
+			t.Errorf("%+v: defaulting twice gives %+v, once %+v", c.cfg, once.WithDefaults(), once)
+		}
+	}
+	// A store's defaulted config fed back in keeps the host tier off.
+	noHost := NewTieredStore(TieredConfig{Enabled: true, CPUBytes: -1})
+	if noHost.Reset(noHost.Config()); noHost.Config().CPUBytes != 0 {
+		t.Errorf("reset with its own config: host tier %d bytes, want 0", noHost.Config().CPUBytes)
 	}
 }
 

@@ -165,17 +165,21 @@ func Testbed(nCPU, nGPU int) []NodeSpec { return hwsim.Testbed(nCPU, nGPU) }
 // Replicas derives n independently-hosted replicas of a base model.
 func Replicas(base Model, n int) []Model { return model.Replicas(base, n) }
 
+// namesAndMaxContext returns the models' names, in order, and the longest
+// context among them: every trace generator's model list and input cap.
+func namesAndMaxContext(models []Model) (names []string, maxCtx int) {
+	names = make([]string, len(models))
+	for i, m := range models {
+		names[i] = m.Name
+		maxCtx = max(maxCtx, m.MaxContext)
+	}
+	return names, maxCtx
+}
+
 // AzureTrace generates an Azure-Serverless-style trace over the models:
 // Zipf popularity, bursty arrivals, AzureConv token lengths.
 func AzureTrace(models []Model, minutes float64, seed uint64) Trace {
-	names := make([]string, len(models))
-	maxCtx := 0
-	for i, m := range models {
-		names[i] = m.Name
-		if m.MaxContext > maxCtx {
-			maxCtx = m.MaxContext
-		}
-	}
+	names, maxCtx := namesAndMaxContext(models)
 	return workload.Generate(workload.TraceConfig{
 		ModelNames: names,
 		Duration:   sim.Duration(minutes) * sim.Minute,
@@ -189,14 +193,7 @@ func AzureTrace(models []Model, minutes float64, seed uint64) Trace {
 // bursty stream at ~rps aggregate requests/second, split across models by a
 // Pareto distribution.
 func BurstGPTTrace(models []Model, minutes, rps float64, seed uint64) Trace {
-	names := make([]string, len(models))
-	maxCtx := 0
-	for i, m := range models {
-		names[i] = m.Name
-		if m.MaxContext > maxCtx {
-			maxCtx = m.MaxContext
-		}
-	}
+	names, maxCtx := namesAndMaxContext(models)
 	return workload.GenerateBurstGPT(workload.BurstGPTConfig{
 		ModelNames: names,
 		Duration:   sim.Duration(minutes) * sim.Minute,
@@ -214,14 +211,7 @@ func CustomTrace(cfg workload.TraceConfig) Trace { return workload.Generate(cfg)
 // and every request carries the PrefixKey that lets the tiered prefix store
 // (Config.PrefixCache) serve the recurring prefix from cache.
 func ChatTrace(models []Model, minutes float64, seed uint64) Trace {
-	names := make([]string, len(models))
-	maxCtx := 0
-	for i, m := range models {
-		names[i] = m.Name
-		if m.MaxContext > maxCtx {
-			maxCtx = m.MaxContext
-		}
-	}
+	names, maxCtx := namesAndMaxContext(models)
 	return workload.GenerateChat(workload.ChatConfig{
 		ModelNames: names,
 		Duration:   sim.Duration(minutes) * sim.Minute,
